@@ -7,16 +7,9 @@ through the generic character-table engine as an independent confirmation.
 from collections import Counter
 
 from pickylab.chartab import character_table
+from pickylab.exactnum import p_adic_valuation
 from pickylab.permgroup import named_group, parse_perm
 from pickylab.symfast import table1_report, table1_rows
-
-
-def two_part(n: int) -> int:
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        t *= 2
-    return t
 
 
 def main():
@@ -37,7 +30,7 @@ def main():
     for i in range(T8.k):
         v = T8.values[i][j]
         if not v.is_zero():
-            left[(abs(int(v.rational_value())), two_part(T8.degrees[i]))] += 1
+            left[(abs(int(v.rational_value())), 2 ** p_adic_valuation(T8.degrees[i], 2))] += 1
 
     W = named_group("wr:S:4~C:2")
     TW = character_table(W)
@@ -46,7 +39,7 @@ def main():
     for i in range(TW.k):
         v = TW.values[i][jw]
         if not v.is_zero():
-            right[(abs(int(v.rational_value())), two_part(TW.degrees[i]))] += 1
+            right[(abs(int(v.rational_value())), 2 ** p_adic_valuation(TW.degrees[i], 2))] += 1
 
     print("\nReduced-scale confirmation (generic engine): S8 at a 4-cycle")
     print(f"  multisets equal: {left == right}")

@@ -55,7 +55,7 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
         return T.group._cache[key]
     k = T.k
     order = T.group.order
-    a = p_adic_valuation(order, p) if order % p == 0 else 0
+    a = p_adic_valuation(order, p)
     regular = [j for j, c in enumerate(T.classes) if c.element_order % p != 0]
     inv = T.inverse_classes
     sizes = [c.size for c in T.classes]
@@ -86,7 +86,7 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
 
     blocks = []
     for rows in sorted(comps.values(), key=lambda rs: rs[0]):
-        vals = {i: p_adic_valuation(T.degrees[i], p) if T.degrees[i] % p == 0 else 0 for i in rows}
+        vals = {i: p_adic_valuation(T.degrees[i], p) for i in rows}
         d = a - min(vals.values())
         heights = {i: vals[i] - (a - d) for i in rows}
         hset = tuple(sorted(set(heights.values())))
@@ -120,11 +120,6 @@ def principal_block(bp: BlockPartition) -> Block:
                 raise EngineDefect("principal block defect differs from v_p(|G|)")
             return b
     raise EngineDefect("no principal block")
-
-
-def height_set(b: Block) -> tuple[int, ...]:
-    """Distinct heights occurring in the block, ascending."""
-    return b.height_set
 
 
 def blocks_json(T: CharacterTable, bp: BlockPartition) -> dict:

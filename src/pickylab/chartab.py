@@ -364,7 +364,8 @@ def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
 
     # Normalise so the identity-class coordinate is 1 (omega at identity).
     id_class = 0  # classes are sorted by element order, identity first
-    assert orders[id_class] == 1
+    if orders[id_class] != 1:
+        raise EngineDefect("the identity class is not first")
     omegas = []
     for v in eigvecs:
         if v[id_class] == 0:

@@ -37,10 +37,13 @@ from .exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, pri
 from .permgroup import (
     Perm,
     PermGroup,
+    _conj,
+    _orbit,
     conjugacy_classes,
     derived_length,
     is_ti_sylow,
     sylow_containing,
+    sylow_count_containing,
     sylow_data,
 )
 from .subnorm import (
@@ -112,7 +115,7 @@ class BijectionSignature:
             if v.is_zero():
                 continue
             d = T.degrees[i]
-            dp = p ** (p_adic_valuation(d, p) if d % p == 0 else 0)
+            dp = p ** p_adic_valuation(d, p)
             if variant == "degree":
                 items.append((dp,))
             elif variant == "plain":
@@ -252,8 +255,8 @@ def check_degree_conjectures(G, p, *, group_label="G", config: EngineConfig = DE
     TP = character_table(P, config)
     cd_P = cd(TP)
     cd_pG = cd_p(character_table(G, config), p)
-    b = p_adic_valuation(max(cd_P), p) if max(cd_P) > 1 else 0
-    f = p_adic_valuation(max(cd_pG), p) if max(cd_pG) > 1 else 0
+    b = p_adic_valuation(max(cd_P), p)
+    f = p_adic_valuation(max(cd_pG), p)
     ok_count = len(cd_P) <= len(cd_pG) + 1
     ok_b2f = b <= 2 * f
     status = HOLDS if (ok_count and ok_b2f) else FAILS
@@ -458,15 +461,6 @@ def check_picky_conjecture(
     return _finish("picky_conjecture", group_label, p, status, witnesses, t0)
 
 
-def _sylow_count_cached(G, p, x, config):
-    from .permgroup import sylow_count_containing
-
-    key = ("sylow_count", p, x.images)
-    if key not in G._cache:
-        G._cache[key] = sylow_count_containing(G, p, x, config)
-    return G._cache[key]
-
-
 def check_subnormalizer_conjecture(
     G, p, variant: str = "plain", *, group_label="G", config: EngineConfig = DEFAULT_CONFIG
 ):
@@ -490,7 +484,7 @@ def check_subnormalizer_conjecture(
             any_skipped = True
             per_class.append(entry)
             continue
-        picky = _sylow_count_cached(G, p, x, config) == 1
+        picky = sylow_count_containing(G, p, x, config) == 1
         if picky:
             _, N = sylow_containing(G, p, x, config)
             if not sub.same_group(N):
@@ -517,8 +511,6 @@ def check_subnormalizer_conjecture(
 def check_fusion_lemma(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
     """Elements of Sub_G(x) that are G-conjugate to x are already
     Sub_G(x)-conjugate to x."""
-    from .permgroup import _conj
-
     t0 = time.monotonic()
     reps = p_element_class_representatives(G, p, config=config)
     checked = []
@@ -532,26 +524,8 @@ def check_fusion_lemma(G, p, *, group_label="G", config: EngineConfig = DEFAULT_
             checked.append({"element": x.cycle_string(), "skipped": str(exc)})
             continue
         # G-class of x, filtered into Sub, versus the Sub-class of x.
-        g_gens = [g.images for g in G.generators]
-        orbit = {x.images}
-        queue = [x.images]
-        while queue:
-            t = queue.pop()
-            for g in g_gens:
-                c = _conj(t, g)
-                if c not in orbit:
-                    orbit.add(c)
-                    queue.append(c)
-        sub_gens = [g.images for g in sub.generators]
-        sub_orbit = {x.images}
-        queue = [x.images]
-        while queue:
-            t = queue.pop()
-            for g in sub_gens:
-                c = _conj(t, g)
-                if c not in sub_orbit:
-                    sub_orbit.add(c)
-                    queue.append(c)
+        orbit = _orbit([g.images for g in G.generators], x.images, _conj)
+        sub_orbit = set(_orbit([g.images for g in sub.generators], x.images, _conj))
         inside = {t for t in orbit if Perm(t) in sub}
         if inside != sub_orbit:
             stray = sorted(inside - sub_orbit)[:3]

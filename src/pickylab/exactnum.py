@@ -463,11 +463,6 @@ class PPart:
         }
 
 
-def galois_apply(alpha: Cyclotomic, k: int) -> Cyclotomic:
-    """sigma_k(alpha), the image of alpha under zeta -> zeta**k."""
-    return alpha.galois(k)
-
-
 def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
     """Fingerprint of Q(alpha) at modulus m; requires alpha in Q(zeta_m)."""
     if m < 1:

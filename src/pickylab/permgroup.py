@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import InvalidArgument, ParseError, ScaleExceeded
+from .errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from .exactnum import is_prime, p_adic_valuation
 
 # ----------------------------------------------------------------------
@@ -327,9 +327,19 @@ class PermGroup:
             if not g.is_identity() and g.images not in seen:
                 seen.add(g.images)
                 uniq.append(g)
+        self._init_fields(degree, tuple(uniq), None)
+
+    @classmethod
+    def _from_chain(cls, chain: _Chain, generators) -> "PermGroup":
+        """Wrap an already built chain; ``generators`` must generate it."""
+        G = cls.__new__(cls)
+        G._init_fields(chain.degree, tuple(generators), chain)
+        return G
+
+    def _init_fields(self, degree: int, generators: tuple[Perm, ...], chain: _Chain | None):
         self.degree = degree
-        self.generators: tuple[Perm, ...] = tuple(uniq)
-        self._chain: _Chain | None = None
+        self.generators = generators
+        self._chain = chain
         self._elements: tuple[Perm, ...] | None = None
         self._classes = None
         self._class_of = None
@@ -401,42 +411,72 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
 
-def construct(generators, degree: int | None = None) -> PermGroup:
-    """Build a group from Perm generators (or image tuples)."""
-    return PermGroup(generators, degree)
-
-
 def extended_group(base: PermGroup, extra) -> PermGroup:
     """The group generated by ``base`` and extra permutations; reuses the
     base group's stabilizer chain."""
     extra = [g if isinstance(g, Perm) else Perm(g) for g in extra]
     ch = base.chain.copy()
     added = [g for g in extra if ch.insert(g.images)]
-    g = PermGroup.__new__(PermGroup)
-    g.degree = base.degree
-    g.generators = base.generators + tuple(added)
-    g._chain = ch
-    g._elements = None
-    g._classes = None
-    g._class_of = None
-    g._cache = {}
-    return g
+    return PermGroup._from_chain(ch, base.generators + tuple(added))
 
 
 def group_generated_by(perms, degree: int) -> PermGroup:
     """Group generated by an iterable of Perms, keeping only the ones that
     enlarge the group as its generator list."""
     ch = _Chain(degree)
-    gens = [g for g in perms if ch.insert(g.images)]
-    g = PermGroup.__new__(PermGroup)
-    g.degree = degree
-    g.generators = tuple(gens)
-    g._chain = ch
-    g._elements = None
-    g._classes = None
-    g._class_of = None
-    g._cache = {}
-    return g
+    return PermGroup._from_chain(ch, [g for g in perms if ch.insert(g.images)])
+
+
+# ----------------------------------------------------------------------
+# Orbits.  ``act(point, g)`` is the image of a point under the generator
+# tuple g; points are anything hashable (elements, element sets).
+
+def _orbit(gens, start, act) -> list:
+    """The orbit of ``start`` under ``gens``, in breadth-first order."""
+    orbit = [start]
+    seen = {start}
+    for pt in orbit:
+        for g in gens:
+            q = act(pt, g)
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    return orbit
+
+
+def _orbit_stabilizer(G: PermGroup, start, act, stab_gens=()) -> tuple[dict, PermGroup]:
+    """Breadth-first orbit of ``start`` under G with its stabilizer.
+
+    Returns the transversal (orbit point -> image tuple of an element of G
+    taking ``start`` there, in discovery order) and the stabilizer, generated
+    by ``stab_gens`` followed by the Schreier generators in the order found.
+    """
+    gens = [g.images for g in G.generators]
+    transversal = {start: _identity(G.degree)}
+    queue = [start]
+    stab = list(stab_gens)
+    seen_stab = {g.images for g in stab}
+    for pt in queue:
+        u = transversal[pt]
+        for g in gens:
+            q = act(pt, g)
+            ug = _mul(u, g)
+            if q not in transversal:
+                transversal[q] = ug
+                queue.append(q)
+            else:
+                s = _mul(ug, _inv(transversal[q]))
+                if not _is_identity(s) and s not in seen_stab:
+                    seen_stab.add(s)
+                    stab.append(Perm(s))
+    S = PermGroup(stab, G.degree)
+    if len(transversal) * S.order != G.order:
+        raise EngineDefect("orbit-stabilizer identity failed")
+    return transversal, S
+
+
+def _conj_set(key: frozenset, g: tuple[int, ...]) -> frozenset:
+    return frozenset(_conj(t, g) for t in key)
 
 
 # ----------------------------------------------------------------------
@@ -459,21 +499,11 @@ def conjugacy_classes(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> li
         raw = []
         class_of: dict[tuple[int, ...], int] = {}
         for e in elems:
-            t = e.images
-            if t in seen:
+            if e.images in seen:
                 continue
             # e is lexicographically minimal in its class: elems is sorted.
-            orbit = [t]
-            seen.add(t)
-            qi = 0
-            while qi < len(orbit):
-                x = orbit[qi]
-                qi += 1
-                for g in gens:
-                    y = _conj(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
+            orbit = _orbit(gens, e.images, _conj)
+            seen.update(orbit)
             raw.append((e, orbit))
         raw.sort(key=lambda pair: (pair[0].order(), len(pair[1]), pair[0].images))
         classes = []
@@ -505,31 +535,7 @@ def centralizer(G: PermGroup, x: Perm) -> PermGroup:
     """C_G(x) via the conjugation orbit of x with Schreier generators."""
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
-    gens = [g.images for g in G.generators]
-    start = x.images
-    transversal: dict[tuple[int, ...], tuple[int, ...]] = {start: _identity(G.degree)}
-    queue = [start]
-    qi = 0
-    stab: list[Perm] = []
-    seen_stab = set()
-    while qi < len(queue):
-        y = queue[qi]
-        qi += 1
-        u = transversal[y]
-        for g in gens:
-            z = _conj(y, g)
-            ug = _mul(u, g)
-            if z not in transversal:
-                transversal[z] = ug
-                queue.append(z)
-            else:
-                s = _mul(ug, _inv(transversal[z]))
-                if not _is_identity(s) and s not in seen_stab:
-                    seen_stab.add(s)
-                    stab.append(Perm(s))
-    C = PermGroup(stab, G.degree)
-    assert len(transversal) * C.order == G.order, "orbit-stabilizer identity failed"
-    return C
+    return _orbit_stabilizer(G, x.images, _conj)[1]
 
 
 def normalizer(G: PermGroup, H: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> PermGroup:
@@ -539,63 +545,37 @@ def normalizer(G: PermGroup, H: PermGroup, config: EngineConfig = DEFAULT_CONFIG
         raise InvalidArgument("H is not a subgroup of G")
     if H.is_trivial() or H.same_group(G):
         return G
-    gens = [g.images for g in G.generators]
-    start = H.element_fingerprint(config)
-    transversal: dict[frozenset, tuple[int, ...]] = {start: _identity(G.degree)}
-    queue = [start]
-    qi = 0
-    stab: list[Perm] = list(H.generators)
-    seen_stab = {g.images for g in H.generators}
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
-        u = transversal[key]
-        for g in gens:
-            new_key = frozenset(_conj(t, g) for t in key)
-            ug = _mul(u, g)
-            if new_key not in transversal:
-                transversal[new_key] = ug
-                queue.append(new_key)
-            else:
-                s = _mul(ug, _inv(transversal[new_key]))
-                if not _is_identity(s) and s not in seen_stab:
-                    seen_stab.add(s)
-                    stab.append(Perm(s))
-    N = PermGroup(stab, G.degree)
-    assert len(transversal) * N.order == G.order, "orbit-stabilizer identity failed"
-    return N
+    return _orbit_stabilizer(G, H.element_fingerprint(config), _conj_set, H.generators)[1]
+
+
+def normal_closure_chain(gen_tuples, seed_tuples, degree: int) -> tuple[_Chain, list]:
+    """Chain and generator tuples of the normal closure of the seeds under
+    the group generated by ``gen_tuples``.  The generators are the seeds and
+    conjugates that enlarged the closure, in the order they did so."""
+    ch = _Chain(degree)
+    gens: list[tuple[int, ...]] = []
+    queue: list[tuple[int, ...]] = []
+    for t in seed_tuples:
+        if ch.insert(t):
+            gens.append(t)
+            queue.append(t)
+    for s in queue:
+        for g in gen_tuples:
+            c = _conj(s, g)
+            if ch.insert(c):
+                gens.append(c)
+                queue.append(c)
+    return ch, gens
 
 
 def normal_closure(G: PermGroup, seeds, degree: int | None = None) -> PermGroup:
     """Smallest subgroup containing the seeds that is normalized by G."""
-    degree = degree if degree is not None else G.degree
-    gens = [g.images for g in G.generators]
-    ch = _Chain(degree)
-    closure_gens: list[tuple[int, ...]] = []
-    queue: list[tuple[int, ...]] = []
-    for s in seeds:
-        t = s.images if isinstance(s, Perm) else tuple(s)
-        if ch.insert(t):
-            closure_gens.append(t)
-            queue.append(t)
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        for g in gens:
-            c = _conj(s, g)
-            if ch.insert(c):
-                closure_gens.append(c)
-                queue.append(c)
-    out = PermGroup.__new__(PermGroup)
-    out.degree = degree
-    out.generators = tuple(Perm(t) for t in closure_gens)
-    out._chain = ch
-    out._elements = None
-    out._classes = None
-    out._class_of = None
-    out._cache = {}
-    return out
+    ch, gens = normal_closure_chain(
+        [g.images for g in G.generators],
+        [s.images if isinstance(s, Perm) else tuple(s) for s in seeds],
+        degree if degree is not None else G.degree,
+    )
+    return PermGroup._from_chain(ch, [Perm(t) for t in gens])
 
 
 # ----------------------------------------------------------------------
@@ -675,8 +655,7 @@ def sylow_data(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> S
         return G._cache[key]
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not a prime")
-    a = p_adic_valuation(G.order, p) if G.order % p == 0 else 0
-    target = p ** a
+    target = p ** p_adic_valuation(G.order, p)
     Q = PermGroup([], G.degree)
     while Q.order < target:
         N = G if Q.is_trivial() else normalizer(G, Q, config)
@@ -691,45 +670,17 @@ def sylow_data(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> S
             Q = extended_group(Q, [y])
             break
         else:  # pragma: no cover - Sylow theory guarantees progress
-            from .errors import EngineDefect
-
             raise EngineDefect("no p-element found in the normalizer of a proper p-subgroup")
-    transversal, N = _sylow_orbit(G, Q, config)
-    data = SylowData(p, Q, transversal, N)
-    assert data.count % p == 1, "Sylow count must be 1 mod p"
+    if Q.is_trivial():
+        data = SylowData(p, Q, (Perm.identity(G.degree),), G)
+    else:
+        start = Q.element_fingerprint(config)
+        transversal, N = _orbit_stabilizer(G, start, _conj_set, Q.generators)
+        data = SylowData(p, Q, tuple(Perm(t) for t in transversal.values()), N)
+    if data.count % p != 1:
+        raise EngineDefect("Sylow count is not 1 mod p")
     G._cache[key] = data
     return data
-
-
-def _sylow_orbit(G: PermGroup, P: PermGroup, config: EngineConfig):
-    """Conjugation orbit of P: transversal of N_G(P) plus the normalizer."""
-    if P.is_trivial():
-        return (Perm.identity(G.degree),), G
-    gens = [g.images for g in G.generators]
-    start = P.element_fingerprint(config)
-    transversal: dict[frozenset, tuple[int, ...]] = {start: _identity(G.degree)}
-    queue = [start]
-    qi = 0
-    stab: list[Perm] = list(P.generators)
-    seen_stab = {g.images for g in P.generators}
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
-        u = transversal[key]
-        for g in gens:
-            new_key = frozenset(_conj(t, g) for t in key)
-            ug = _mul(u, g)
-            if new_key not in transversal:
-                transversal[new_key] = ug
-                queue.append(new_key)
-            else:
-                s = _mul(ug, _inv(transversal[new_key]))
-                if not _is_identity(s) and s not in seen_stab:
-                    seen_stab.add(s)
-                    stab.append(Perm(s))
-    N = PermGroup(stab, G.degree)
-    assert len(transversal) * N.order == G.order
-    return tuple(Perm(t) for t in transversal.values()), N
 
 
 def is_p_element(x: Perm, p: int) -> bool:
@@ -742,11 +693,15 @@ def is_p_element(x: Perm, p: int) -> bool:
 def sylow_count_containing(
     G: PermGroup, p: int, x: Perm, config: EngineConfig = DEFAULT_CONFIG
 ) -> int:
-    """Number of Sylow p-subgroups containing the p-element x."""
+    """Number of Sylow p-subgroups containing the p-element x.  Cached per
+    (p, x)."""
     if not is_p_element(x, p):
         raise InvalidArgument("element order is not a power of p")
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
+    key = ("sylow_count", p, x.images)
+    if key in G._cache:
+        return G._cache[key]
     data = sylow_data(G, p, config)
     P = data.subgroup
     count = 0
@@ -754,6 +709,7 @@ def sylow_count_containing(
         # x in P^g  iff  x^(g^-1) in P
         if Perm(_conj(x.images, _inv(g.images))) in P:
             count += 1
+    G._cache[key] = count
     return count
 
 
@@ -778,8 +734,6 @@ def sylow_containing(
                 result = (P.conjugate_subgroup(g), data.normalizer.conjugate_subgroup(g))
             break
     if result is None:  # pragma: no cover - Sylow covering guarantees a hit
-        from .errors import EngineDefect
-
         raise EngineDefect("p-element lies in no Sylow p-subgroup")
     G._cache[key] = result
     return result
@@ -815,8 +769,6 @@ def is_ti_sylow(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> 
             ti = False
     every_picky = all(c == 1 for c in containment_counts.values())
     if ti != every_picky:
-        from .errors import EngineDefect
-
         raise EngineDefect("TI test disagrees with the every-element-picky test")
     return ti
 

@@ -28,7 +28,7 @@ from .permgroup import (
     extended_group,
     group_generated_by,
     is_p_element,
-    normalizer,
+    normal_closure_chain,
     sylow_containing,
     sylow_count_containing,
     sylow_data,
@@ -36,27 +36,6 @@ from .permgroup import (
 
 # ----------------------------------------------------------------------
 # Subnormality via normal closure series.
-
-def _closure_chain(gen_tuples, seed_tuples, degree: int) -> tuple[_Chain, list]:
-    """Chain for the normal closure of the seeds under the given generators."""
-    ch = _Chain(degree)
-    gens: list = []
-    queue: list = []
-    for t in seed_tuples:
-        if ch.insert(t):
-            gens.append(t)
-            queue.append(t)
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        for g in gen_tuples:
-            c = _conj(s, g)
-            if ch.insert(c):
-                gens.append(c)
-                queue.append(c)
-    return ch, gens
-
 
 def _is_subnormal_tuples(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
     """<seeds> subnormal in <group_gens>, by the descending closure series."""
@@ -68,7 +47,7 @@ def _is_subnormal_tuples(seed_tuples, seed_order: int, group_gens, degree: int) 
     while True:
         if current_order == seed_order:
             return True
-        ch, closure_gens = _closure_chain(current_gens, seed_tuples, degree)
+        ch, closure_gens = normal_closure_chain(current_gens, seed_tuples, degree)
         new_order = ch.order()
         if new_order == current_order:
             return new_order == seed_order

@@ -22,6 +22,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .errors import InvalidArgument
+from .exactnum import p_adic_valuation
 
 Partition = tuple[int, ...]
 
@@ -177,14 +178,6 @@ def wreath_value_at_base(label: WreathLabel, g1_type, g2_type) -> int:
 # ----------------------------------------------------------------------
 # The S_16 / S_8 wr C2 comparison at an 8-cycle.
 
-def _two_part(n: int) -> int:
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        t *= 2
-    return t
-
-
 def table1_report() -> dict:
     """Nonzero absolute character values at an 8-cycle (with 8 fixed
     points), paired with the 2-part of the degree, with multiplicities:
@@ -201,9 +194,10 @@ def table1_report() -> dict:
         v = mn_value(lam, x16)
         if v == 0:
             continue
-        key = (abs(v), _two_part(degree(lam)))
+        t = 2 ** p_adic_valuation(degree(lam), 2)
+        key = (abs(v), t)
         left[key] = left.get(key, 0) + 1
-        skey = (v, _two_part(degree(lam)))
+        skey = (v, t)
         left_signed[skey] = left_signed.get(skey, 0) + 1
 
     right: dict[tuple[int, int], int] = {}
@@ -213,9 +207,10 @@ def table1_report() -> dict:
         v = wreath_value_at_base(label, g1, g2)
         if v == 0:
             continue
-        key = (abs(v), _two_part(wreath_degree(label)))
+        t = 2 ** p_adic_valuation(wreath_degree(label), 2)
+        key = (abs(v), t)
         right[key] = right.get(key, 0) + 1
-        skey = (v, _two_part(wreath_degree(label)))
+        skey = (v, t)
         right_signed[skey] = right_signed.get(skey, 0) + 1
 
     return {
@@ -237,9 +232,3 @@ def table1_rows(report: dict | None = None) -> list[tuple[int, int, int]]:
             ((k[1], k[0]), m) for k, m in report["left"].items()
         )
     ]
-
-
-def symmetric_table_values(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Full character value matrix of S_n: partition row -> cycle type -> value."""
-    ps = partitions(n)
-    return {lam: {mu: mn_value(lam, mu) for mu in ps} for lam in ps}

@@ -1,6 +1,6 @@
 """Brauer block partitions, defects, and heights."""
 
-from pickylab.blocks import block_partition, blocks_json, height_set, principal_block
+from pickylab.blocks import block_partition, blocks_json, principal_block
 from pickylab.chartab import character_table
 from pickylab.exactnum import Cyclotomic, p_adic_valuation
 from pickylab.permgroup import named_group
@@ -108,7 +108,7 @@ class TestPartitionProperties:
             T = character_table(G)
             for p in primes:
                 for b in block_partition(T, p).blocks:
-                    assert 0 in height_set(b)
+                    assert 0 in b.height_set
 
     def test_s4_p2_heights_by_degree_arithmetic(self):
         T = character_table(named_group("S:4"))
@@ -121,7 +121,7 @@ class TestPartitionProperties:
             for i in b0.indices
         }
         assert b0.heights == expected
-        assert height_set(b0) == (0, 1)
+        assert b0.height_set == (0, 1)
 
     def test_json_shape(self):
         T = character_table(named_group("S:3"))

@@ -18,7 +18,6 @@ from pickylab.permgroup import (
     Perm,
     PermGroup,
     conjugacy_classes,
-    construct,
     derived_series,
     named_group,
     p_elements,
@@ -79,7 +78,7 @@ class TestExtractors:
 
     def test_irr_nonvanishing_on(self):
         T3 = character_table(named_group("S:3"))
-        S = construct([parse_perm("(1,2)", 3)])
+        S = PermGroup([parse_perm("(1,2)", 3)])
         assert len(irr_nonvanishing_on(T3, PermGroup([], 3))) == 3
         # the identity never vanishes, so the literal reading sees everything
         assert len(irr_nonvanishing_on(T3, S)) == 3

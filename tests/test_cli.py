@@ -68,6 +68,7 @@ class TestStructureCommands:
         code, out, _ = invoke(capsys, "sylow", "S:4", "-p", "2")
         data = json.loads(out)
         assert data["order"] == 8 and data["count"] == 3
+        assert data["generators"] == ["(1,2)", "(3,4)", "(1,3)(2,4)"]
 
     def test_picky(self, capsys):
         code, out, _ = invoke(capsys, "picky", "S:4", "-p", "2")
@@ -81,6 +82,7 @@ class TestStructureCommands:
         code, out, _ = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2,3,4)")
         data = json.loads(out)
         assert data["subgroup_order"] == 8
+        assert data["subgroup_generators"] == ["(2,4)", "(1,2)(3,4)"]
         assert data["picky_report"]["is_picky"] is True
 
     def test_table1(self, capsys):

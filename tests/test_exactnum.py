@@ -14,7 +14,6 @@ from pickylab.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     field_fingerprint,
-    galois_apply,
     int_p_part,
     is_prime,
     p_adic_valuation,
@@ -51,10 +50,10 @@ class TestBasicNumberTheory:
 class TestGaloisApply:
     def test_complex_conjugation_on_i(self):
         i = Cyclotomic.zeta(4)
-        assert galois_apply(i, 3) == -i
+        assert i.galois(3) == -i
 
     def test_rationals_are_fixed(self):
-        assert galois_apply(rat(5), 7) == rat(5)
+        assert rat(5).galois(7) == rat(5)
 
     def test_sqrt2_negated_by_sigma3(self):
         # Independent oracle: reduce x^3 + x^5 modulo x^4 + 1 by hand.
@@ -63,11 +62,11 @@ class TestGaloisApply:
         # zeta^3 + zeta^5 = zeta^3 - zeta, the negative.
         s2 = Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 7)
         assert s2.coefficients() == {1: Fraction(1), 3: Fraction(-1)}
-        assert galois_apply(s2, 3) == -s2
+        assert s2.galois(3) == -s2
 
     def test_requires_coprime(self):
         with pytest.raises(InvalidArgument):
-            galois_apply(Cyclotomic.zeta(8), 2)
+            Cyclotomic.zeta(8).galois(2)
 
     @given(st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=30, deadline=None)
@@ -75,8 +74,8 @@ class TestGaloisApply:
         alpha = Cyclotomic.zeta(8) + 2 * Cyclotomic.zeta(8, 3) - rat(Fraction(1, 2))
         if k % 2 == 0 or l % 2 == 0:
             return
-        lhs = galois_apply(galois_apply(alpha, k), l)
-        rhs = galois_apply(alpha, (k * l) % 8)
+        lhs = alpha.galois(k).galois(l)
+        rhs = alpha.galois((k * l) % 8)
         assert lhs == rhs
 
 

@@ -14,7 +14,6 @@ from pickylab.permgroup import (
     centralizer,
     class_index_of,
     conjugacy_classes,
-    construct,
     derived_length,
     derived_series,
     is_ti_sylow,
@@ -85,7 +84,7 @@ class TestPerm:
 class TestConstruction:
     def test_s3_by_exhaustive_products(self):
         gens = [parse_perm("(1,2)", 3), parse_perm("(1,2,3)", 3)]
-        G = construct(gens)
+        G = PermGroup(gens)
         assert G.order == len(brute_closure(gens, 3)) == 6
 
     def test_trivial_group(self):
@@ -93,14 +92,14 @@ class TestConstruction:
 
     def test_dihedral_by_exhaustive_closure(self):
         gens = [parse_perm("(1,2,3,4)"), parse_perm("(1,3)", 4)]
-        G = construct(gens)
+        G = PermGroup(gens)
         assert G.order == len(brute_closure(gens, 4)) == 8
 
     @given(st.lists(st.permutations(list(range(5))), min_size=1, max_size=2))
     @settings(max_examples=40, deadline=None)
     def test_order_matches_brute_closure(self, images_list):
         gens = [Perm(tuple(im)) for im in images_list]
-        G = construct(gens, 5)
+        G = PermGroup(gens, 5)
         assert G.order == len(brute_closure(gens, 5))
 
     def test_membership(self):
@@ -235,16 +234,16 @@ class TestCentralizerNormalizer:
 
     def test_normalizer_of_sylow_in_s4(self):
         S4 = named_group("S:4")
-        D8 = construct([parse_perm("(1,2,3,4)"), parse_perm("(1,3)", 4)])
+        D8 = PermGroup([parse_perm("(1,2,3,4)"), parse_perm("(1,3)", 4)])
         assert normalizer(S4, D8).same_group(D8)
         assert normalizer(S4, S4).same_group(S4)
 
     def test_brute_force_normalizer_agreement(self):
         S4 = named_group("S:4")
         subs = [
-            construct([parse_perm("(1,2)", 4)]),
-            construct([parse_perm("(1,2,3)", 4)]),
-            construct([parse_perm("(1,2)(3,4)", 4), parse_perm("(1,3)(2,4)", 4)]),
+            PermGroup([parse_perm("(1,2)", 4)]),
+            PermGroup([parse_perm("(1,2,3)", 4)]),
+            PermGroup([parse_perm("(1,2)(3,4)", 4), parse_perm("(1,3)(2,4)", 4)]),
         ]
         for H in subs:
             N = normalizer(S4, H)
@@ -255,7 +254,7 @@ class TestCentralizerNormalizer:
 
     def test_normalizer_requires_subgroup(self):
         with pytest.raises(InvalidArgument):
-            normalizer(named_group("A:4"), construct([parse_perm("(1,2)", 4)]))
+            normalizer(named_group("A:4"), PermGroup([parse_perm("(1,2)", 4)]))
 
 
 class TestSylow:
@@ -263,6 +262,14 @@ class TestSylow:
         assert sylow_subgroup(named_group("S:4"), 2).order == 8
         assert sylow_subgroup(named_group("S:3"), 3).order == 3
         assert sylow_subgroup(named_group("S:3"), 5).order == 1
+
+    def test_s4_p2_generators_and_transversal(self):
+        # Generator and transversal order is user-visible (pickylab sylow).
+        data = sylow_data(named_group("S:4"), 2)
+        assert [g.cycle_string() for g in data.transversal] == ["()", "(1,2,3,4)", "(2,3,4)"]
+        assert [g.cycle_string() for g in data.normalizer.generators] == [
+            "(1,2)", "(3,4)", "(1,3)(2,4)", "(1,4,2,3)"
+        ]
 
     def test_sylow_invariants(self, small_catalog_groups):
         from pickylab.exactnum import p_adic_valuation, prime_factors

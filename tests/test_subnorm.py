@@ -12,7 +12,6 @@ from pickylab.permgroup import (
     Perm,
     PermGroup,
     conjugacy_classes,
-    construct,
     named_group,
     normalizer,
     parse_perm,
@@ -102,17 +101,17 @@ def brute_subnormalizer_set(G, x):
 class TestIsSubnormal:
     def test_normal_subgroup(self):
         A4 = named_group("A:4")
-        V = construct([parse_perm("(1,2)(3,4)", 4), parse_perm("(1,3)(2,4)", 4)])
+        V = PermGroup([parse_perm("(1,2)(3,4)", 4), parse_perm("(1,3)(2,4)", 4)])
         assert is_subnormal(V, A4)
 
     def test_two_step_chain(self):
         A4 = named_group("A:4")
-        H = construct([parse_perm("(1,2)(3,4)", 4)])
+        H = PermGroup([parse_perm("(1,2)(3,4)", 4)])
         assert is_subnormal(H, A4)  # <x> normal in V normal in A4
 
     def test_not_subnormal(self):
         S3 = named_group("S:3")
-        H = construct([parse_perm("(1,2)", 3)])
+        H = PermGroup([parse_perm("(1,2)", 3)])
         assert not is_subnormal(H, S3)
 
     def test_equal_groups(self):
@@ -124,7 +123,7 @@ class TestIsSubnormal:
 
     def test_requires_containment(self):
         with pytest.raises(InvalidArgument):
-            is_subnormal(construct([parse_perm("(1,2)", 4)]), named_group("A:4"))
+            is_subnormal(PermGroup([parse_perm("(1,2)", 4)]), named_group("A:4"))
 
     def test_against_brute_force(self):
         S4 = named_group("S:4")
@@ -132,11 +131,11 @@ class TestIsSubnormal:
                        ("(1,2,3,4)", "(1,3)"), ("(1,2,3)", "(1,2)")]:
             x = parse_perm(xs, 4)
             g = parse_perm(gs, 4)
-            K = construct([x, g])
+            K = PermGroup([x, g])
             expected = brute_is_subnormal(
                 {x.images}, set_closure({x.images, g.images}, 4), 4
             )
-            assert is_subnormal(construct([x]), K) == expected
+            assert is_subnormal(PermGroup([x]), K) == expected
 
 
 class TestSubnormalizerSet:
@@ -269,10 +268,10 @@ class TestChainLength:
 
     def test_fixed_examples(self):
         S4 = named_group("S:4")
-        D8 = construct([parse_perm("(1,2,3,4)"), parse_perm("(1,3)", 4)])
+        D8 = PermGroup([parse_perm("(1,2,3,4)"), parse_perm("(1,3)", 4)])
         assert chain_length(S4, D8) == 1  # maximal
         assert chain_length(S4, S4) == 0
-        S3 = construct([parse_perm("(1,2)", 4), parse_perm("(1,2,3)", 4)])
+        S3 = PermGroup([parse_perm("(1,2)", 4), parse_perm("(1,2,3)", 4)])
         assert chain_length(S4, S3) == 1  # also maximal
 
     def test_against_lattice_oracle(self):
@@ -291,7 +290,7 @@ class TestChainLength:
             )
 
         for gens in [["(1,2)"], ["(1,2,3)"], ["(1,2)(3,4)", "(1,3)(2,4)"], ["(1,2,3,4)"], []]:
-            N = construct([parse_perm(g, 4) for g in gens], 4)
+            N = PermGroup([parse_perm(g, 4) for g in gens], 4)
             key = frozenset(g.images for g in N.elements())
             assert chain_length(S4, N) == longest_from(key), gens
 
@@ -303,7 +302,7 @@ class TestChainLength:
 
     def test_requires_subgroup(self):
         with pytest.raises(InvalidArgument):
-            chain_length(named_group("A:4"), construct([parse_perm("(1,2)", 4)]))
+            chain_length(named_group("A:4"), PermGroup([parse_perm("(1,2)", 4)]))
 
     def test_scale_bound(self):
         with pytest.raises(ScaleExceeded):
