@@ -4,9 +4,11 @@ comparison.
 
 All subcommands emit JSON (stdout or --out).  Exit codes: 0 all holds,
 1 some check fails, 2 usage or input error, 3 some checks skipped and none
-failed.  Reports are byte-identical across runs; timings are only included
-with --timings.  Check results can be cached in the directory named by the
-PICKYLAB_CACHE environment variable.
+failed, 4 an internal cross-check failed (EngineDefect).  Reports are
+byte-identical across runs; timings are only included with --timings.
+Check results can be cached in the directory named by the PICKYLAB_CACHE
+environment variable; entries are keyed by catalog label, group, prime,
+check and engine version.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import __version__
 from .blocks import block_partition, blocks_json
 from .chartab import character_table
 from .conjectures import CHECKS, VARIANTS, run_all_checks, run_check
-from .errors import InvalidArgument, ParseError, PickylabError, ScaleExceeded
+from .errors import EngineDefect, InvalidArgument, ParseError, PickylabError, ScaleExceeded
 from .exactnum import is_prime, prime_factors
 from .permgroup import (
     PermGroup,
@@ -48,6 +51,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_ERROR = 2
 EXIT_SKIPPED = 3
+EXIT_DEFECT = 4
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +161,8 @@ def _cache_key(entry: CatalogEntry, G: PermGroup, p: int, name: str, variant: st
     payload = json.dumps(
         {
             "format": 1,
+            "version": __version__,
+            "label": entry.label,
             "degree": G.degree,
             "generators": [g.cycle_string() for g in G.generators],
             "prime": p,
@@ -434,6 +440,9 @@ def run(argv=None) -> int:
     except ScaleExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except EngineDefect as exc:
+        print(f"engine defect: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except PickylabError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,7 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: bad input (parse / invalid argument)
-exits 2, scale overruns turn a check into a "skipped" report.
+and scale overruns of a subcommand exit 2, an engine defect exits 4.
+Inside a check, a scale overrun turns the check into a "skipped" report.
 """
 
 
@@ -23,4 +24,5 @@ class ScaleExceeded(PickylabError, RuntimeError):
 
 class EngineDefect(PickylabError, AssertionError):
     """An internal cross-check failed: a proved theorem came out false,
-    or two independent computation paths disagreed.  Never caught."""
+    or two independent computation paths disagreed.  The engine never
+    catches it; the CLI reports it and exits 4."""

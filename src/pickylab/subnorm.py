@@ -3,12 +3,18 @@ subgroup chain lengths.
 
 Everything is derived from the definitions: H is subnormal in K when the
 descending normal-closure series K >= <H^K> >= <H^<H^K>> >= ... terminates
-at H, and the subnormalizer set of x collects the g with <x> subnormal in
-<x, g>.  The only shortcuts taken are ones justified directly by the
-definition: membership of g is constant on double cosets <x> g <x> (the
-generated subgroup <x, g> does not change), centralizing or normalizing
-elements are accepted immediately, and the scan runs over those coset
-representatives.
+at H, and the subnormalizer set S_G(<x>) collects the g with <x> subnormal
+in <x, g>.  Four maps of G leave that verdict unchanged:
+
+* t -> x t and t -> t x, since <x, x^a t x^b> = <x, t>;
+* t -> t^-1, since <x, t^-1> = <x, t>;
+* t -> t^n for n in N_G(<x>), since <x, t^n> = <x, t>^n and <x>^n = <x>,
+  and conjugation by n carries subnormal subgroups to subnormal ones.
+
+So the scan tests one element per orbit of G under these maps.  Right
+multiplication by x is inversion, left multiplication by x^-1 and inversion
+again, so the orbits are computed without a map of its own for it.
+Centralizing or <x>-normalizing elements are accepted without the series.
 """
 
 from __future__ import annotations
@@ -22,13 +28,16 @@ from .permgroup import (
     Perm,
     PermGroup,
     _conj,
+    _inv,
     _mul,
+    _orbit,
     _Chain,
     conjugacy_classes,
     extended_group,
     group_generated_by,
     is_p_element,
     normal_closure_chain,
+    normalizer,
     sylow_containing,
     sylow_count_containing,
     sylow_data,
@@ -87,8 +96,11 @@ def subnormalizer_set(
 ) -> list[Perm]:
     """S_G(<x>) = { g : <x> subnormal in <x, g> }, as a sorted list.
 
-    The verdict is constant on each double coset <x> g <x>, so one test per
-    coset suffices; every element is still reported.
+    The verdict is constant on each orbit of G under t -> x t, t -> t x,
+    t -> t^-1 and conjugation by N_G(<x>): <x, x^a t x^b> = <x, t^-1> =
+    <x, t>, and <x, t^n> = <x, t>^n with <x>^n = <x>.  So one test per
+    orbit suffices; every element is still reported.  The set is computed
+    once per (G, x) and cached on G; each call returns a new list.
     """
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
@@ -96,28 +108,39 @@ def subnormalizer_set(
         raise ScaleExceeded(
             f"|G| = {G.order} exceeds the subnormalizer bound {config.subnormalizer_bound}"
         )
+    key = ("subnormalizer_set", x.images)
+    if key not in G._cache:
+        G._cache[key] = tuple(_scan_subnormalizer(G, x, config))
+    return list(G._cache[key])
+
+
+def _scan_subnormalizer(G: PermGroup, x: Perm, config: EngineConfig) -> list[Perm]:
+    xt = x.images
     x_order = x.order()
-    powers = [x.images]
-    while len(powers) < x_order:
-        powers.append(_mul(powers[-1], x.images))
-    powers_set = frozenset(powers)
+    powers = frozenset((x**k).images for k in range(x_order))
+    N = normalizer(G, group_generated_by([x], G.degree), config)
+    # The Schreier generators of N are highly redundant: conjugate by a
+    # pruned generating set, leaving out powers of x (left and right
+    # multiplication already cover them).
+    maps = [lambda t: _mul(xt, t), _inv] + [
+        lambda t, n=n.images: _conj(t, n)
+        for n in group_generated_by(N.generators, G.degree).generators
+        if n.images not in powers
+    ]
     members: list[Perm] = []
     decided: dict[tuple, bool] = {}
     for g in G.elements(config):
-        gt = g.images
-        if gt in decided:
-            if decided[gt]:
-                members.append(g)
-            continue
-        verdict = _subnormal_in_generated(x, powers_set, x_order, g)
-        # Mark the whole double coset <x> g <x>.
-        for a in powers:
-            ag = _mul(a, gt)
-            for b in powers:
-                decided[_mul(ag, b)] = verdict
+        verdict = decided.get(g.images)
+        if verdict is None:
+            verdict = _subnormal_in_generated(x, powers, x_order, g)
+            decided.update(dict.fromkeys(_orbit(maps, g.images, _apply), verdict))
         if verdict:
             members.append(g)
     return members
+
+
+def _apply(t, f):
+    return f(t)
 
 
 def subnormalizer_subgroup(

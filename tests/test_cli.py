@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from pickylab import cli, subnorm
 from pickylab.cli import (
+    EXIT_DEFECT,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_SKIPPED,
@@ -12,7 +14,7 @@ from pickylab.cli import (
     run,
     run_batch,
 )
-from pickylab.errors import ParseError
+from pickylab.errors import EngineDefect, ParseError
 
 
 def invoke(capsys, *argv):
@@ -85,6 +87,20 @@ class TestStructureCommands:
         assert data["subgroup_generators"] == ["(2,4)", "(1,2)(3,4)"]
         assert data["picky_report"]["is_picky"] is True
 
+    def test_subnormalizer_scans_once(self, capsys, monkeypatch):
+        scans = []
+        scan = subnorm._scan_subnormalizer
+
+        def counting(G, x, config):
+            scans.append(x.cycle_string())
+            return scan(G, x, config)
+
+        monkeypatch.setattr(subnorm, "_scan_subnormalizer", counting)
+        code, out, _ = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2,3,4)")
+        assert code == EXIT_OK
+        assert scans == ["(1,2,3,4)"]
+        assert json.loads(out)["set_size"] == 8
+
     def test_table1(self, capsys):
         code, out, _ = invoke(capsys, "table1")
         assert code == EXIT_OK
@@ -115,6 +131,16 @@ class TestErrors:
     def test_malformed_permutation(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2")
         assert code == EXIT_ERROR
+
+    def test_engine_defect_has_its_own_exit_code(self, capsys, monkeypatch):
+        def defect(args):
+            raise EngineDefect("two computation paths disagree")
+
+        monkeypatch.setattr(cli, "_cmd_table", defect)
+        code, out, err = invoke(capsys, "table", "S:3")
+        assert code == EXIT_DEFECT == 4
+        assert out == ""
+        assert "two computation paths disagree" in err
 
     def test_element_outside_group(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "A:4", "-x", "(1,2)")
@@ -213,3 +239,13 @@ class TestBatch:
             f.write_text("{broken")
         third = run_batch(tiny_catalog)
         assert json.dumps(first, sort_keys=True) == json.dumps(third, sort_keys=True)
+
+    def test_cache_keeps_labels_apart(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PICKYLAB_CACHE", str(tmp_path / "cache"))
+        for label in ("First", "Second"):
+            cat = tmp_path / f"{label}.json"
+            cat.write_text(
+                json.dumps({"format": 1, "entries": [{"label": label, "source": "S:3"}]})
+            )
+            out = run_batch(str(cat))
+            assert {r["group"] for r in out["reports"]} == {label}

@@ -2,15 +2,24 @@
 
 The brute-force oracles here work purely with element sets (saturation
 closures), never with stabilizer chains, so they are independent of the
-engine they check."""
+engine they check.  Two further oracles reuse engine parts on purpose: the
+double-coset scan calls the engine's subnormality test, so it checks only
+the orbit reduction of the scan, and the Wielandt check takes O_p from the
+engine's Sylow data, which is independent of the closure series."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pickylab import subnorm
+from pickylab.cli import load_catalog
 from pickylab.config import EngineConfig
 from pickylab.errors import InvalidArgument, ScaleExceeded
+from pickylab.exactnum import prime_factors
 from pickylab.permgroup import (
     Perm,
     PermGroup,
+    _mul,
     conjugacy_classes,
     named_group,
     normalizer,
@@ -18,6 +27,7 @@ from pickylab.permgroup import (
     sylow_data,
 )
 from pickylab.subnorm import (
+    _subnormal_in_generated,
     chain_length,
     covering_analysis,
     is_subnormal,
@@ -93,6 +103,62 @@ def brute_subnormalizer_set(G, x):
         if brute_is_subnormal({x.images}, k_set, degree):
             out.append(g)
     return out
+
+
+def double_coset_subnormalizer_set(G, x):
+    """The scan before orbit reduction: one subnormality test per double
+    coset <x> g <x>, every element reported in ``G.elements()`` order."""
+    x_order = x.order()
+    powers = [(x**k).images for k in range(x_order)]
+    powers_set = frozenset(powers)
+    decided = {}
+    members = []
+    for g in G.elements():
+        gt = g.images
+        if gt not in decided:
+            verdict = _subnormal_in_generated(x, powers_set, x_order, g)
+            for a in powers:
+                ag = _mul(a, gt)
+                for b in powers:
+                    decided[_mul(ag, b)] = verdict
+        if decided[gt]:
+            members.append(g)
+    return members
+
+
+def brute_orbit_count(G, x):
+    """Orbits of G under t -> x t, t -> t x, t -> t^-1 and conjugation by
+    every element of N_G(<x>), with the normalizer found element by element."""
+    powers = {(x**k).images for k in range(x.order())}
+    norm = [n for n in G.elements() if x.conj(n).images in powers]
+    maps = [lambda t: x * t, lambda t: t * x, Perm.inverse]
+    maps += [lambda t, n=n: t.conj(n) for n in norm]
+    seen = set()
+    count = 0
+    for g in G.elements():
+        if g in seen:
+            continue
+        count += 1
+        seen.add(g)
+        stack = [g]
+        while stack:
+            t = stack.pop()
+            for f in maps:
+                u = f(t)
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+def in_o_p(H, p, x):
+    """x in O_p(H), computed as the intersection of the Sylow p-subgroups."""
+    data = sylow_data(H, p)
+    P = data.subgroup.elements()
+    core = {s.images for s in P}
+    for t in data.transversal:
+        core &= {s.conj(t).images for s in P}
+    return x.images in core
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +259,86 @@ class TestSubnormalizerSet:
         sub_x = subnormalizer_subgroup(S4, x)
         sub_xg = subnormalizer_subgroup(S4, x.conj(g))
         assert sub_x.conjugate_subgroup(g).same_group(sub_xg)
+
+
+class TestOrbitScanOracle:
+    """The orbit-reduced scan against the double-coset scan it replaced:
+    same members, in the same order."""
+
+    @pytest.fixture(scope="class")
+    def oracle_groups(self):
+        groups = {entry.source: entry.build() for entry in load_catalog("small")}
+        for source in ("S:5", "S:6"):
+            groups.setdefault(source, named_group(source))
+        return groups
+
+    def test_every_class_representative(self, oracle_groups):
+        for source, G in oracle_groups.items():
+            for c in conjugacy_classes(G):
+                x = c.representative
+                got = [g.images for g in subnormalizer_set(G, x)]
+                want = [g.images for g in double_coset_subnormalizer_set(G, x)]
+                assert got == want, (source, x.cycle_string())
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_two_generated_subgroups_of_sn(self, images, data):
+        a, b = images
+        G = PermGroup([a, b], len(a))
+        # Skip the identity (elements()[0]) where possible: the draw favours
+        # the first element, and the class-representative test covers it.
+        x = data.draw(st.sampled_from(G.elements()[1:] or G.elements()))
+        got = [g.images for g in subnormalizer_set(G, x)]
+        assert got == [g.images for g in double_coset_subnormalizer_set(G, x)]
+
+    def test_one_subnormality_test_per_orbit(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _subnormal_in_generated(*args)
+
+        monkeypatch.setattr(subnorm, "_subnormal_in_generated", counting)
+        for entry in load_catalog("small"):
+            G = entry.build()
+            if G.order > 120:
+                continue
+            for c in conjugacy_classes(G):
+                calls.clear()
+                subnormalizer_set(G, c.representative)
+                want = brute_orbit_count(G, c.representative)
+                assert len(calls) == want, (entry.label, c.representative.cycle_string())
+
+    def test_returns_a_fresh_list(self):
+        S4 = named_group("S:4")
+        x = parse_perm("(1,2)", 4)
+        first = subnormalizer_set(S4, x)
+        first.clear()
+        assert subnormalizer_set(S4, x) == double_coset_subnormalizer_set(S4, x)
+
+
+class TestWielandtCriterion:
+    """An independent path for p-elements: <x> is subnormal in H = <x, g>
+    iff x lies in O_p(H) (Wielandt)."""
+
+    @pytest.mark.parametrize("source", ["S:4", "A:5", "D:12", "wr:S:3~C:2"])
+    def test_agrees_with_closure_series(self, source):
+        G = named_group(source)
+        verdicts = set()
+        for p in prime_factors(G.order):
+            for x in p_element_class_representatives(G, p):
+                powers = frozenset((x**k).images for k in range(x.order()))
+                for g in G.elements():
+                    verdict = _subnormal_in_generated(x, powers, x.order(), g)
+                    H = PermGroup([x, g], G.degree)
+                    assert verdict == in_o_p(H, p, x), (x.cycle_string(), g.cycle_string())
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestPicky:
