@@ -17,6 +17,8 @@ point anywhere.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -299,8 +301,20 @@ class CharacterTable:
         }
 
 
+# Built tables by (degree, order), held weakly: a table lives as long as
+# some group object that caches it.  The lock makes lookup and registration
+# one step, so threads asking for one subgroup build its table once.
+_shared_tables: dict[tuple[int, int], weakref.WeakSet] = {}
+_shared_lock = threading.Lock()
+
+
 def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> CharacterTable:
-    """The exact character table of G (cached on the group)."""
+    """The exact character table of G.
+
+    The table is shared by every group object that is the same subgroup of
+    Sym(n) as G: equal degree, equal order and containment mean equal
+    element sets.  It is cached on G and held weakly by a module-level map,
+    so it lives as long as some group object that uses it."""
     if "chartab" in G._cache:
         return G._cache["chartab"]
     if G.order > config.table_bound:
@@ -308,9 +322,20 @@ def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> Char
             f"|G| = {G.order} exceeds the table bound {config.table_bound}; "
             "for symmetric groups and their wreath squares use the symfast module"
         )
+    with _shared_lock:
+        same_size = _shared_tables.setdefault((G.degree, G.order), weakref.WeakSet())
+        table = next((T for T in same_size if G.is_subgroup_of(T.group)), None)
+        if table is None:
+            table = _table_from_scratch(G, config)
+            same_size.add(table)
+    G._cache["chartab"] = table
+    return table
+
+
+def _table_from_scratch(G: PermGroup, config: EngineConfig) -> CharacterTable:
+    """Build and verify G's table, bypassing every cache of tables."""
     table = _build_table(G, config)
     _verify_table(table)
-    G._cache["chartab"] = table
     return table
 
 

@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -174,6 +173,15 @@ def _cache_key(entry: CatalogEntry, G: PermGroup, p: int, name: str, variant: st
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _cache_meta(G: PermGroup, p: int) -> dict:
+    """The structural invariants stored with a report and checked on load."""
+    return {
+        "order": G.order,
+        "class_count": len(conjugacy_classes(G)),
+        "sylow_order": sylow_data(G, p).subgroup.order,
+    }
+
+
 def _cache_load(key: str, G: PermGroup, p: int) -> dict | None:
     d = _cache_dir()
     if d is None:
@@ -185,32 +193,27 @@ def _cache_load(key: str, G: PermGroup, p: int) -> dict | None:
         stored = json.loads(f.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    meta = stored.get("meta", {})
-    if meta.get("order") != G.order:
+    if not isinstance(stored, dict) or stored.get("meta") != _cache_meta(G, p):
         return None
-    # Revalidate one structural invariant, picked pseudo-randomly from the key.
-    rng = random.Random(key)
-    which = rng.choice(["class_count", "sylow_order"])
-    if which == "class_count":
-        if meta.get("class_count") != len(conjugacy_classes(G)):
-            return None
-    else:
-        if meta.get("sylow_order") != sylow_data(G, p).subgroup.order:
-            return None
     return stored.get("report")
 
 
 def _cache_store(key: str, G: PermGroup, p: int, report: dict):
+    """Write the entry to a temporary file, then move it onto ``<key>.json``,
+    so a reader never sees a partly written entry."""
     d = _cache_dir()
     if d is None:
         return
     d.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "order": G.order,
-        "class_count": len(conjugacy_classes(G)),
-        "sylow_order": sylow_data(G, p).subgroup.order,
-    }
-    (d / f"{key}.json").write_text(json.dumps({"meta": meta, "report": report}, sort_keys=True))
+    text = json.dumps({"meta": _cache_meta(G, p), "report": report}, sort_keys=True)
+    tmp = d / f".{key}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, d / f"{key}.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------

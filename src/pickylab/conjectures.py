@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .blocks import block_partition, principal_block
 from .chartab import (
     CharacterTable,
+    _table_from_scratch,
     character_table,
     cd,
     cd_p,
@@ -177,8 +178,8 @@ def _fresh(G: PermGroup) -> PermGroup:
 
 def _reverify_mismatch(G, H, x, p, variant, config) -> bool:
     """Recompute both multisets from scratch and confirm they still differ."""
-    TG = character_table(_fresh(G), config)
-    TH = character_table(_fresh(H), config)
+    TG = _table_from_scratch(_fresh(G), config)
+    TH = _table_from_scratch(_fresh(H), config)
     sg = BijectionSignature.build(TG, x, p, variant)
     sh = BijectionSignature.build(TH, x, p, variant)
     return sg.multiset != sh.multiset

@@ -1,8 +1,14 @@
 """Character tables: values, extractors, and the exactness invariants."""
 
+import gc
+import sys
+import threading
+
 import pytest
 
+from pickylab import chartab, conjectures
 from pickylab.chartab import (
+    _table_from_scratch,
     cd,
     cd_p,
     character_table,
@@ -11,7 +17,8 @@ from pickylab.chartab import (
     irr_nonvanishing_on,
     irr_pprime,
 )
-from pickylab.config import EngineConfig
+from pickylab.cli import load_catalog
+from pickylab.config import DEFAULT_CONFIG, EngineConfig
 from pickylab.errors import InvalidArgument, ScaleExceeded
 from pickylab.exactnum import Cyclotomic
 from pickylab.permgroup import (
@@ -22,6 +29,7 @@ from pickylab.permgroup import (
     named_group,
     p_elements,
     parse_perm,
+    sylow_data,
 )
 
 
@@ -55,6 +63,107 @@ class TestSmallTables:
     def test_scale_bound(self):
         with pytest.raises(ScaleExceeded):
             character_table(named_group("S:5"), EngineConfig(table_bound=100))
+
+
+def _element_set(G):
+    return frozenset(g.images for g in G.elements())
+
+
+@pytest.fixture
+def build_log(monkeypatch):
+    """An empty map of shared tables, and the element set of every group
+    whose table is built, in build order."""
+    monkeypatch.setattr(chartab, "_shared_tables", {})
+    log = []
+    original = chartab._build_table
+
+    def counting_build(G, config):
+        log.append(_element_set(G))
+        return original(G, config)
+
+    monkeypatch.setattr(chartab, "_build_table", counting_build)
+    return log
+
+
+class TestSharedTables:
+    def test_conjugate_object_of_the_same_subgroup_shares_the_table(self, build_log):
+        S4 = named_group("S:4")
+        g = parse_perm("(1,2)", 4)
+        same = S4.conjugate_subgroup(g)
+        assert same is not S4 and same.generators != S4.generators
+        assert character_table(same) is character_table(S4)
+        assert len(build_log) == 1
+
+    def test_conjugate_sylow_subgroups_get_their_own_tables(self, build_log):
+        data = sylow_data(named_group("S:4"), 2)
+        P = data.subgroup
+        Q = P.conjugate_subgroup(data.transversal[1])
+        assert (P.degree, P.order) == (Q.degree, Q.order)
+        assert _element_set(P) != _element_set(Q)
+        TP, TQ = character_table(P), character_table(Q)
+        assert TP is not TQ
+        assert build_log == [_element_set(P), _element_set(Q)]
+        for H, T in ((P, TP), (Q, TQ)):
+            fresh = _table_from_scratch(PermGroup(list(H.generators), H.degree), DEFAULT_CONFIG)
+            assert fresh.to_json_dict() == T.to_json_dict()
+
+    def test_tables_are_held_weakly(self, build_log):
+        G = named_group("D:12")
+        key = (G.degree, G.order)
+        character_table(G)
+        assert len(chartab._shared_tables[key]) == 1
+        del G
+        gc.collect()
+        assert not chartab._shared_tables.get(key)
+
+    def test_scale_bound_is_checked_before_sharing(self, build_log):
+        S5 = named_group("S:5")
+        character_table(S5)
+        same = S5.conjugate_subgroup(parse_perm("(1,2)", 5))
+        with pytest.raises(ScaleExceeded):
+            character_table(same, EngineConfig(table_bound=100))
+
+    def test_threads_share_one_build(self, build_log):
+        S4 = named_group("S:4")
+        objects = [S4.conjugate_subgroup(g) for g in S4.elements()[:8]]
+        tables = [None] * len(objects)
+        start = threading.Barrier(len(objects))
+
+        def ask(i):
+            start.wait(timeout=60)
+            tables[i] = character_table(objects[i])
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(objects))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(T is tables[0] for T in tables) and tables[0] is not None
+        assert len(build_log) == 1
+
+    @pytest.mark.parametrize("label", ["S4", "D12", "SL23"])
+    def test_all_checks_build_one_table_per_element_set(self, label, build_log, monkeypatch):
+        requested = []
+        original = conjectures.character_table
+
+        def recording(G, config=DEFAULT_CONFIG):
+            requested.append(_element_set(G))
+            return original(G, config)
+
+        monkeypatch.setattr(conjectures, "character_table", recording)
+        entry = next(e for e in load_catalog("small") if e.label == label)
+        G = entry.build()
+        for p in entry.effective_primes(G):
+            conjectures.run_all_checks(G, p)
+        assert len(requested) > len(set(requested))
+        assert len(build_log) == len(set(build_log))
+        assert set(build_log) == set(requested)
 
 
 class TestExtractors:

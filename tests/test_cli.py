@@ -249,3 +249,40 @@ class TestBatch:
             )
             out = run_batch(str(cat))
             assert {r["group"] for r in out["reports"]} == {label}
+
+
+class TestCacheEntries:
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        d = tmp_path / "cache"
+        monkeypatch.setenv("PICKYLAB_CACHE", str(d))
+        return d
+
+    def test_every_meta_field_is_revalidated(self, cache):
+        from pickylab.permgroup import named_group
+
+        G = named_group("S:4")
+        report = [{"check": "stub"}]
+        cli._cache_store("k", G, 2, report)
+        entry = cache / "k.json"
+        stored = json.loads(entry.read_text())
+        assert set(stored["meta"]) == {"order", "class_count", "sylow_order"}
+        assert cli._cache_load("k", G, 2) == report
+        for field in stored["meta"]:
+            tampered = json.loads(json.dumps(stored))
+            tampered["meta"][field] += 1
+            entry.write_text(json.dumps(tampered))
+            assert cli._cache_load("k", G, 2) is None, field
+        entry.write_text(json.dumps(stored))
+        assert cli._cache_load("k", G, 2) == report
+
+    def test_failed_write_leaves_nothing_behind(self, cache, monkeypatch):
+        from pickylab.permgroup import named_group
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cli._cache_store("k", named_group("S:3"), 3, [{"check": "stub"}])
+        assert list(cache.iterdir()) == []

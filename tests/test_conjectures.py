@@ -286,3 +286,23 @@ class TestHarness:
         C4 = named_group("C:4")
         x = parse_perm("(1,2,3,4)", 4)
         assert _reverify_mismatch(S4, C4, x, 2, "plain", DEFAULT_CONFIG)
+
+    def test_reverification_rebuilds_both_tables(self, monkeypatch):
+        from pickylab import chartab
+        from pickylab.config import DEFAULT_CONFIG
+
+        S4 = named_group("S:4")
+        C4 = named_group("C:4")
+        character_table(S4)
+        character_table(C4)
+        built = []
+        original = chartab._build_table
+
+        def counting_build(G, config):
+            built.append(G.order)
+            return original(G, config)
+
+        monkeypatch.setattr(chartab, "_build_table", counting_build)
+        x = parse_perm("(1,2,3,4)", 4)
+        assert _reverify_mismatch(S4, C4, x, 2, "plain", DEFAULT_CONFIG)
+        assert built == [24, 4]
