@@ -51,9 +51,23 @@ def test_small_catalog(small_catalog):
         _compare(G, [c.representative for c in conjugacy_classes(G)])
 
 
+_two_perms = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
+
+
+@given(_two_perms)
+@settings(max_examples=60, deadline=None)
+def test_two_generated_subgroups_of_sn(images):
+    a, b = images
+    G = PermGroup([a, b], len(a))
+    _compare(G, [c.representative for c in conjugacy_classes(G)])
+
+
 # Four generators of degree 5 or 6: hypothesis favours near-identity
-# permutations, and with fewer generators or lower degrees most examples
-# are groups of order 12 or less, where every algorithm is brute force.
+# permutations, and with fewer generators or lower degrees (as in the
+# test above, which keeps degrees 2-4 covered) most examples are groups
+# of order 12 or less, where every algorithm is brute force.
 # Degree 7 would add S7-sized groups at about 0.5 s of sympy time each.
 _four_perms = st.integers(5, 6).flatmap(lambda n: st.tuples(*[st.permutations(range(n))] * 4))
 
