@@ -41,12 +41,6 @@ class BlockPartition:
     a: int  # v_p(|G|)
     blocks: tuple[Block, ...]
 
-    def block_of(self, row: int) -> Block:
-        for b in self.blocks:
-            if row in b.heights:
-                return b
-        raise EngineDefect("character belongs to no block")
-
 
 def block_partition(T: CharacterTable, p: int) -> BlockPartition:
     """The p-block partition of Irr(G), with defects and heights."""

@@ -236,20 +236,13 @@ def _entry_reports(entry: CatalogEntry, timings: bool) -> list[dict]:
     return out
 
 
-def _entry_worker(args) -> list[dict]:
-    label, source, primes, gen_text, timings = args
-    entry = CatalogEntry(label=label, source=source, primes=primes, generator_text=gen_text)
-    return _entry_reports(entry, timings)
-
-
 def run_batch(catalog_path: str, jobs: int = 1, timings: bool = False) -> dict:
     entries = load_catalog(catalog_path)
     if jobs <= 1:
         per_entry = [_entry_reports(e, timings) for e in entries]
     else:
-        tasks = [(e.label, e.source, e.primes, e.generator_text, timings) for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_entry = list(pool.map(_entry_worker, tasks))
+            per_entry = list(pool.map(_entry_reports, entries, [timings] * len(entries)))
     reports: list[dict] = []
     for chunk in per_entry:
         reports.extend(chunk)
@@ -437,10 +430,7 @@ def run(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         report, code = args.fn(args)
-    except (ParseError, InvalidArgument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ScaleExceeded as exc:
+    except (ParseError, InvalidArgument, ScaleExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except EngineDefect as exc:

@@ -316,26 +316,16 @@ def check_height_conjectures(G, p, *, group_label="G", config: EngineConfig = DE
     ok_count = len(cd_P) <= len(ht) + 1
     nontrivial_cd = [d for d in cd_P if d > 1]
     nonzero_ht = [h for h in ht if h > 0]
-    if not nontrivial_cd and not nonzero_ht:
-        ok_em = True  # both infima infinite: the height-zero/abelian case
-        em = {"lhs": None, "rhs": None}
-    elif nontrivial_cd and nonzero_ht:
-        lhs = min(nontrivial_cd)
-        rhs = p ** min(nonzero_ht)
-        ok_em = lhs == rhs
-        em = {"lhs": lhs, "rhs": rhs}
-    else:
-        ok_em = False
-        em = {
-            "lhs": min(nontrivial_cd) if nontrivial_cd else None,
-            "rhs": p ** min(nonzero_ht) if nonzero_ht else None,
-        }
+    # An empty infimum reads as None on either side, so two empty ones agree.
+    lhs = min(nontrivial_cd, default=None)
+    rhs = p ** min(nonzero_ht) if nonzero_ht else None
+    ok_em = lhs == rhs
     status = HOLDS if (ok_count and ok_em) else FAILS
     witnesses = {
         "height_set": list(ht),
         "cd_P": list(cd_P),
         "count_bound_holds": ok_count,
-        "smallest_nontrivial": em,
+        "smallest_nontrivial": {"lhs": lhs, "rhs": rhs},
         "dl_P": derived_length(P),
         "max_height": max(ht),
     }

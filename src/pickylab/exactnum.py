@@ -25,8 +25,6 @@ from math import gcd
 
 from .errors import EngineDefect, InvalidArgument
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -284,10 +282,6 @@ class Cyclotomic:
             raise InvalidArgument("value is irrational")
         return self._coeffs.get(0, _ZERO)
 
-    def is_integral(self) -> bool:
-        """All power-basis coefficients are integers."""
-        return all(c.denominator == 1 for c in self._coeffs.values())
-
     def coefficients(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
 
@@ -438,9 +432,6 @@ class FieldFingerprint:
     modulus: int
     stabilizer: tuple[int, ...]
 
-    def to_json(self):
-        return {"modulus": self.modulus, "stabilizer": list(self.stabilizer)}
-
 
 @dataclass(frozen=True)
 class PPart:
@@ -455,12 +446,6 @@ class PPart:
         if self.exponent.denominator != 1:
             raise InvalidArgument("fractional p-part has no integer value")
         return self.prime ** int(self.exponent)
-
-    def to_json(self):
-        return {
-            "prime": self.prime,
-            "exponent": [self.exponent.numerator, self.exponent.denominator],
-        }
 
 
 def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
@@ -510,10 +495,7 @@ def algebraic_p_part(alpha: Cyclotomic, p: int) -> PPart:
     for coef in poly:
         if not coef.is_rational():
             raise EngineDefect("characteristic polynomial has irrational coefficient")
-    char_integral = all(coef.rational_value().denominator == 1 for coef in poly)
-    # The basis-coefficient shortcut should agree; the characteristic
-    # polynomial is authoritative either way.
-    if not char_integral:
+    if not all(coef.rational_value().denominator == 1 for coef in poly):
         raise InvalidArgument("value is not an algebraic integer")
     norm = Cyclotomic.from_rational(1)
     for img in conjugates:

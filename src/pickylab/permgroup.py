@@ -10,6 +10,12 @@ members, so repeated runs produce identical data.
 
 Performance-sensitive internals (the stabilizer chain, normal closures)
 work on raw image tuples rather than Perm objects.
+
+Every subgroup this module derives (generated subgroups, extensions,
+normal closures, stabilizers, hence centralizers and normalizers) is built
+by inserting candidates into one stabilizer chain, and its generators are
+exactly the candidates that enlarged the chain, in the order they did so.
+So no derived generator list is redundant, and no caller needs to prune one.
 """
 
 from __future__ import annotations
@@ -448,28 +454,29 @@ def _orbit_stabilizer(G: PermGroup, start, act, stab_gens=()) -> tuple[dict, Per
     """Breadth-first orbit of ``start`` under G with its stabilizer.
 
     Returns the transversal (orbit point -> image tuple of an element of G
-    taking ``start`` there, in discovery order) and the stabilizer, generated
-    by ``stab_gens`` followed by the Schreier generators in the order found.
+    taking ``start`` there, in discovery order) and the stabilizer.  Its
+    chain is grown from ``stab_gens`` and then the Schreier generators in
+    the order found; its generators are those among them that enlarged it.
     """
     gens = [g.images for g in G.generators]
     transversal = {start: _identity(G.degree)}
     queue = [start]
-    stab = list(stab_gens)
-    seen_stab = {g.images for g in stab}
+    ch = _Chain(G.degree)
+    stab = [g for g in stab_gens if ch.insert(g.images)]
     for pt in queue:
         u = transversal[pt]
         for g in gens:
             q = act(pt, g)
             ug = _mul(u, g)
-            if q not in transversal:
+            v = transversal.get(q)
+            if v is None:
                 transversal[q] = ug
                 queue.append(q)
-            else:
-                s = _mul(ug, _inv(transversal[q]))
-                if not _is_identity(s) and s not in seen_stab:
-                    seen_stab.add(s)
+            elif v != ug:  # else the Schreier generator is the identity
+                s = _mul(ug, _inv(v))
+                if ch.insert(s):
                     stab.append(Perm(s))
-    S = PermGroup(stab, G.degree)
+    S = PermGroup._from_chain(ch, stab)
     if len(transversal) * S.order != G.order:
         raise EngineDefect("orbit-stabilizer identity failed")
     return transversal, S
@@ -568,12 +575,12 @@ def normal_closure_chain(gen_tuples, seed_tuples, degree: int) -> tuple[_Chain, 
     return ch, gens
 
 
-def normal_closure(G: PermGroup, seeds, degree: int | None = None) -> PermGroup:
+def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds that is normalized by G."""
     ch, gens = normal_closure_chain(
         [g.images for g in G.generators],
         [s.images if isinstance(s, Perm) else tuple(s) for s in seeds],
-        degree if degree is not None else G.degree,
+        G.degree,
     )
     return PermGroup._from_chain(ch, [Perm(t) for t in gens])
 
@@ -589,7 +596,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
             c = a.inverse() * b.inverse() * a * b
             if not c.is_identity():
                 comms.append(c)
-    return normal_closure(G, comms, G.degree)
+    return normal_closure(G, comms)
 
 
 def derived_series(G: PermGroup) -> list[PermGroup]:

@@ -48,20 +48,17 @@ from .permgroup import (
 
 def _is_subnormal_tuples(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
     """<seeds> subnormal in <group_gens>, by the descending closure series."""
-    current_gens = list(group_gens)
+    gens = list(group_gens)
     ch = _Chain(degree)
-    for t in current_gens:
+    for t in gens:
         ch.insert(t)
-    current_order = ch.order()
-    while True:
-        if current_order == seed_order:
-            return True
-        ch, closure_gens = normal_closure_chain(current_gens, seed_tuples, degree)
-        new_order = ch.order()
-        if new_order == current_order:
-            return new_order == seed_order
-        current_gens = closure_gens
-        current_order = new_order
+    order = ch.order()
+    while order != seed_order:
+        ch, gens = normal_closure_chain(gens, seed_tuples, degree)
+        if ch.order() == order:
+            return False
+        order = ch.order()
+    return True
 
 
 def is_subnormal(H: PermGroup, K: PermGroup) -> bool:
@@ -119,13 +116,10 @@ def _scan_subnormalizer(G: PermGroup, x: Perm, config: EngineConfig) -> list[Per
     x_order = x.order()
     powers = frozenset((x**k).images for k in range(x_order))
     N = normalizer(G, group_generated_by([x], G.degree), config)
-    # The Schreier generators of N are highly redundant: conjugate by a
-    # pruned generating set, leaving out powers of x (left and right
-    # multiplication already cover them).
+    # Powers of x are left out: left and right multiplication already
+    # cover conjugation by them.
     maps = [lambda t: _mul(xt, t), _inv] + [
-        lambda t, n=n.images: _conj(t, n)
-        for n in group_generated_by(N.generators, G.degree).generators
-        if n.images not in powers
+        lambda t, n=n.images: _conj(t, n) for n in N.generators if n.images not in powers
     ]
     members: list[Perm] = []
     decided: dict[tuple, bool] = {}
@@ -278,56 +272,51 @@ def covering_analysis(
 
 def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> int:
     """Maximal length t of a strictly increasing subgroup chain
-    N = H_0 < H_1 < ... < H_t = G."""
+    N = H_0 < H_1 < ... < H_t = G.
+
+    For H < G, longest(H) = 1 + max longest(<H, g>) over g outside H, one g
+    per right coset Hg (<H, g> depends only on Hg).  Each <H, g> starts a
+    chain from H, so the right side is at most longest(H); the first step
+    H_1 of a longest chain contains some <H, g>, whose longest chain is at
+    least as long as that of H_1, so the right side is at least
+    longest(H).  This agrees with the recursion over minimal overgroups,
+    and visits the same subgroups: every subgroup between N and G is
+    reached by minimal steps, and every <H, g> lies between N and G.
+    """
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
     if G.order > config.chain_length_bound:
         raise ScaleExceeded(
             f"|G| = {G.order} exceeds the chain-length bound {config.chain_length_bound}"
         )
-    memo: dict[frozenset, int] = {}
     g_elements = G.elements(config)
 
-    def longest(H: PermGroup) -> int:
-        if H.order == G.order:
-            return 0
-        key = H.element_fingerprint(config)
-        if key in memo:
-            return memo[key]
-        overgroups = _minimal_overgroups(H, key)
-        result = 1 + max(longest(K) for K in overgroups)
-        memo[key] = result
-        return result
+    def key_of(K: PermGroup) -> frozenset | None:
+        # The element set; None for G itself, where every chain ends.
+        return None if K.order == G.order else frozenset(K.chain.iter_elements())
 
-    def _minimal_overgroups(H: PermGroup, h_key: frozenset) -> list[PermGroup]:
-        # Every minimal overgroup is <H, g>; <H, g> only depends on the
-        # coset Hg, so scan one representative per coset.
-        found: dict[frozenset, PermGroup] = {}
-        seen_cosets: set = set(h_key)
-        hit_G = False
-        h_elems = [t for t in h_key]
+    memo: dict[frozenset | None, int] = {None: 0}
+
+    def longest(H: PermGroup, key: frozenset | None) -> int:
+        if key not in memo:
+            found = _overgroups(H, key)
+            if not found:
+                raise EngineDefect("no overgroup found for a proper subgroup")
+            memo[key] = 1 + max(longest(K, k) for k, K in found.items())
+        return memo[key]
+
+    def _overgroups(H: PermGroup, key: frozenset) -> dict[frozenset | None, PermGroup]:
+        # <H, g> by key, for one g per right coset Hg; the cosets are freed
+        # before the recursion goes deeper.
+        found: dict[frozenset | None, PermGroup] = {}
+        seen_cosets = set(key)
         for g in g_elements:
             gt = g.images
             if gt in seen_cosets:
                 continue
-            for h in h_elems:
-                seen_cosets.add(_mul(h, gt))
+            seen_cosets.update(_mul(h, gt) for h in key)
             K = extended_group(H, [g])
-            if K.order == G.order:
-                hit_G = True
-                continue
-            kkey = K.element_fingerprint(config)
-            if kkey not in found:
-                found[kkey] = K
-        if not found:
-            if not hit_G:
-                raise EngineDefect("no overgroup found for a proper subgroup")
-            return [G]
-        minimal = []
-        keys = sorted(found, key=lambda fs: (len(fs), sorted(fs)))
-        for key in keys:
-            if not any(other < key for other in found if other is not key):
-                minimal.append(found[key])
-        return minimal
+            found.setdefault(key_of(K), K)
+        return found
 
-    return longest(N)
+    return longest(N, key_of(N))

@@ -187,32 +187,26 @@ def table1_report() -> dict:
     Returns both multisets plus signed values for the strong-form
     comparison.
     """
+
+    def tally(pairs):
+        """(|value|, 2-part) and (value, 2-part) multisets of the nonzero
+        values among (value, degree) pairs."""
+        unsigned: dict[tuple[int, int], int] = {}
+        signed: dict[tuple[int, int], int] = {}
+        for v, deg in pairs:
+            if v == 0:
+                continue
+            t = 2 ** p_adic_valuation(deg, 2)
+            unsigned[(abs(v), t)] = unsigned.get((abs(v), t), 0) + 1
+            signed[(v, t)] = signed.get((v, t), 0) + 1
+        return unsigned, signed
+
     x16 = (8,) + (1,) * 8
-    left: dict[tuple[int, int], int] = {}
-    left_signed: dict[tuple[int, int], int] = {}
-    for lam in partitions(16):
-        v = mn_value(lam, x16)
-        if v == 0:
-            continue
-        t = 2 ** p_adic_valuation(degree(lam), 2)
-        key = (abs(v), t)
-        left[key] = left.get(key, 0) + 1
-        skey = (v, t)
-        left_signed[skey] = left_signed.get(skey, 0) + 1
-
-    right: dict[tuple[int, int], int] = {}
-    right_signed: dict[tuple[int, int], int] = {}
+    left, left_signed = tally((mn_value(lam, x16), degree(lam)) for lam in partitions(16))
     g1, g2 = (8,), (1,) * 8
-    for label in wreath_labels(8):
-        v = wreath_value_at_base(label, g1, g2)
-        if v == 0:
-            continue
-        t = 2 ** p_adic_valuation(wreath_degree(label), 2)
-        key = (abs(v), t)
-        right[key] = right.get(key, 0) + 1
-        skey = (v, t)
-        right_signed[skey] = right_signed.get(skey, 0) + 1
-
+    right, right_signed = tally(
+        (wreath_value_at_base(label, g1, g2), wreath_degree(label)) for label in wreath_labels(8)
+    )
     return {
         "left": left,
         "right": right,

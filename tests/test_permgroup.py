@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pickylab.cli import load_catalog
 from pickylab.errors import InvalidArgument, ParseError
 from pickylab.permgroup import (
     Perm,
     PermGroup,
+    _Chain,
     centralizer,
     class_index_of,
     conjugacy_classes,
@@ -264,12 +266,29 @@ class TestSylow:
         assert sylow_subgroup(named_group("S:3"), 5).order == 1
 
     def test_s4_p2_generators_and_transversal(self):
-        # Generator and transversal order is user-visible (pickylab sylow).
+        # pickylab sylow prints P's generators (the subgroup's, not the
+        # normalizer's); the transversal order decides which conjugate of P
+        # sylow_containing returns.  The normalizer keeps only generators
+        # that enlarged its chain: P's three already give N = P (order 8),
+        # so the Schreier generator (1,4,2,3) is left out.
         data = sylow_data(named_group("S:4"), 2)
         assert [g.cycle_string() for g in data.transversal] == ["()", "(1,2,3,4)", "(2,3,4)"]
         assert [g.cycle_string() for g in data.normalizer.generators] == [
-            "(1,2)", "(3,4)", "(1,3)(2,4)", "(1,4,2,3)"
+            "(1,2)", "(3,4)", "(1,3)(2,4)"
         ]
+
+    def test_stabilizer_generators_are_irredundant(self):
+        # Inserted in order into a fresh chain, every generator of a Sylow
+        # normalizer or a centralizer enlarges it, and together they give
+        # the whole group.
+        for entry in load_catalog("small"):
+            G = entry.build()
+            stabilizers = [sylow_data(G, p).normalizer for p in entry.effective_primes(G)]
+            stabilizers += [centralizer(G, c.representative) for c in conjugacy_classes(G)]
+            for H in stabilizers:
+                ch = _Chain(G.degree)
+                assert [ch.insert(g.images) for g in H.generators] == [True] * len(H.generators)
+                assert ch.order() == H.order, entry.label
 
     def test_sylow_invariants(self, small_catalog_groups):
         from pickylab.exactnum import p_adic_valuation, prime_factors

@@ -1,6 +1,9 @@
-"""Source-level guards: every built-in cross-check must survive python -O."""
+"""Source-level guards: every built-in cross-check must survive python -O,
+and every name the package defines has a use."""
 
 import ast
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pickylab
@@ -16,3 +19,44 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements vanish under python -O; raise EngineDefect: {found}"
+
+
+ROOT = SRC.parents[1]
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions, classes and assignment targets, and the
+    methods of module-level classes, except dunder names."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                m.name for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name
+
+
+def test_every_defined_name_is_used():
+    """A name defined in the package must occur somewhere under src/,
+    scripts/ or tests/ besides its own definitions."""
+    occurrences: Counter = Counter()
+    for top in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            with tokenize.open(path) as fh:
+                occurrences.update(
+                    tok.string
+                    for tok in tokenize.generate_tokens(fh.readline)
+                    if tok.type == tokenize.NAME
+                )
+    definitions: Counter = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        definitions.update(_definitions(ast.parse(path.read_text(), str(path))))
+    unused = sorted(name for name, n in definitions.items() if occurrences[name] <= n)
+    assert unused == [], f"names without a use: {unused}"

@@ -421,24 +421,25 @@ class TestChainLength:
         assert chain_length(S4, S3) == 1  # also maximal
 
     def test_against_lattice_oracle(self):
-        S4 = named_group("S:4")
-        subs = self.brute_all_subgroups(S4)
-        top = frozenset(g.images for g in S4.elements())
+        # Every subgroup as N, against the recursion over minimal overgroups.
+        for source, count in [("S:4", 30), ("A:4", 10), ("D:12", 16)]:
+            G = named_group(source)
+            subs = self.brute_all_subgroups(G)
+            assert len(subs) == count, source
 
-        def longest_from(s):
-            overs = [t for t in subs if s < t]
-            if not overs:
-                return 0
-            return max(
-                1 + longest_from(t)
-                for t in overs
-                if not any(s < u < t for u in subs)
-            )
+            def longest_from(s):
+                overs = [t for t in subs if s < t]
+                if not overs:
+                    return 0
+                return max(
+                    1 + longest_from(t)
+                    for t in overs
+                    if not any(s < u < t for u in subs)
+                )
 
-        for gens in [["(1,2)"], ["(1,2,3)"], ["(1,2)(3,4)", "(1,3)(2,4)"], ["(1,2,3,4)"], []]:
-            N = PermGroup([parse_perm(g, 4) for g in gens], 4)
-            key = frozenset(g.images for g in N.elements())
-            assert chain_length(S4, N) == longest_from(key), gens
+            for s in subs:
+                N = PermGroup([Perm(t) for t in s], G.degree)
+                assert chain_length(G, N) == longest_from(s), (source, sorted(s))
 
     def test_s5_sylow2_normalizer(self):
         S5 = named_group("S:5")
