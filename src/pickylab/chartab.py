@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import EngineDefect, InvalidArgument, ScaleExceeded
+from .errors import EngineDefect, InvalidArgument
 from .exactnum import (
     Cyclotomic,
     FieldFingerprint,
@@ -35,6 +35,7 @@ from .permgroup import (
     ConjugacyClass,
     PermGroup,
     Perm,
+    check_order_bound,
     class_index_of,
     conjugacy_classes,
     exponent,
@@ -317,11 +318,7 @@ def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> Char
     so it lives as long as some group object that uses it."""
     if "chartab" in G._cache:
         return G._cache["chartab"]
-    if G.order > config.table_bound:
-        raise ScaleExceeded(
-            f"|G| = {G.order} exceeds the table bound {config.table_bound}; "
-            "for symmetric groups and their wreath squares use the symfast module"
-        )
+    check_order_bound(G, config.table_bound, "table")
     with _shared_lock:
         same_size = _shared_tables.setdefault((G.degree, G.order), weakref.WeakSet())
         table = next((T for T in same_size if G.is_subgroup_of(T.group)), None)

@@ -299,8 +299,6 @@ def _cmd_picky(args) -> tuple[dict, int]:
 def _cmd_subnormalizer(args) -> tuple[dict, int]:
     G = _resolve_group(args.group)
     x = parse_perm(args.element, G.degree)
-    if x not in G:
-        raise InvalidArgument(f"{args.element} is not an element of the group")
     sset = subnormalizer_set(G, x)
     sub = subnormalizer_subgroup(G, x)
     out = {

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
+from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
@@ -33,7 +35,9 @@ from .exactnum import is_prime, p_adic_valuation
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    # itemgetter with a single index returns a scalar; the only permutation
+    # of degree 1 is the identity, so q is then the product.
+    return itemgetter(*p)(q) if len(p) > 1 else q
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -51,12 +55,13 @@ def _conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def _identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
 def _is_identity(p: tuple[int, ...]) -> bool:
-    return all(i == j for i, j in enumerate(p))
+    return p == _identity(len(p))
 
 
 class Perm:
@@ -142,7 +147,7 @@ class Perm:
         return tuple(lens)
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -248,33 +253,54 @@ class _Chain:
     def contains(self, g: tuple[int, ...]) -> bool:
         return _is_identity(self._sift(g))
 
-    def insert(self, g: tuple[int, ...]) -> bool:
-        """Add a generator; returns True if it was not already a member."""
+    def insert(self, g: tuple[int, ...], stop_at: int | None = None) -> bool:
+        """Add a generator; returns True if it was not already a member.
+
+        Level i's orbit lies inside the orbit of its base point under the
+        stabilizer of the first i base points in the group generated so
+        far, so ``order()`` never exceeds that group's order at any point
+        of a build.  With ``stop_at`` the build returns as soon as
+        ``order()`` reaches it:
+
+        * ``stop_at`` the order of a group known to contain every inserted
+          element: reaching it means the chain generates that group and is
+          complete.  Every Schreier generator left unexamined would have
+          sifted to the identity, so the chain is the unstopped one.
+        * ``stop_at`` a bound plus one: reaching it shows that the group
+          exceeds the bound.  Such a chain is partial (its order is only a
+          lower bound and its membership test is wrong), so it is read for
+          its order and dropped, never grown further or enumerated.
+        """
         if _is_identity(g):
             return False
         if self.contains(g):
             return False
-        self._insert(g, 0)
+        self._insert(g, 0, stop_at)
         return True
 
-    def _insert(self, g: tuple[int, ...], i: int):
+    def _insert(self, g: tuple[int, ...], i: int, stop_at: int | None) -> bool:
+        """Returns True if the build stopped at ``stop_at``."""
         if _is_identity(g):
-            return
+            return False
         if i < len(self.levels) and _is_identity(self._sift(g, i)):
-            return
+            return False
         if i == len(self.levels):
             base = next(p for p in range(self.degree) if g[p] != p)
             self.levels.append(_Level(base))
         lvl = self.levels[i]
         lvl.gens.append(g)
         self._rebuild_orbit(lvl)
+        if stop_at is not None and self.order() >= stop_at:
+            return True
         # Re-examine every Schreier generator of the enlarged level.
         for pt in list(lvl.orbit):
             u, _ = lvl.orbit[pt]
             for h in list(lvl.gens):
                 target = h[pt]
                 s = _mul(_mul(u, h), lvl.orbit[target][1])
-                self._insert(s, i + 1)
+                if self._insert(s, i + 1, stop_at):
+                    return True
+        return False
 
     def _rebuild_orbit(self, lvl: _Level):
         ident = _identity(self.degree)
@@ -377,10 +403,7 @@ class PermGroup:
     def elements(self, config: EngineConfig = DEFAULT_CONFIG) -> tuple[Perm, ...]:
         """All elements, sorted lexicographically by image tuple."""
         if self._elements is None:
-            if self.order > config.enum_bound:
-                raise ScaleExceeded(
-                    f"group of order {self.order} exceeds enumeration bound {config.enum_bound}"
-                )
+            check_order_bound(self, config.enum_bound, "enumeration")
             elems = sorted(self.chain.iter_elements())
             self._elements = tuple(Perm(t) for t in elems)
         return self._elements
@@ -417,12 +440,32 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
 
-def extended_group(base: PermGroup, extra) -> PermGroup:
+def check_order_bound(G: PermGroup, bound: int, what: str) -> None:
+    """Raise ScaleExceeded if |G| > bound, without building the chain of a
+    group that large: an unbuilt chain is grown from G's generators, in the
+    order ``G.chain`` uses, with ``stop_at = bound + 1``.  It is kept on G
+    only if it never stopped (its order stayed within the bound), and is
+    then the chain ``G.chain`` would have built."""
+    ch = G._chain
+    if ch is None:
+        ch = _Chain(G.degree)
+        for g in G.generators:
+            if ch.order() > bound:
+                break
+            ch.insert(g.images, bound + 1)
+        if ch.order() <= bound:
+            G._chain = ch
+    if ch.order() > bound:
+        raise ScaleExceeded(f"|G| exceeds the {what} bound {bound}")
+
+
+def extended_group(base: PermGroup, extra, stop_at: int | None = None) -> PermGroup:
     """The group generated by ``base`` and extra permutations; reuses the
-    base group's stabilizer chain."""
+    base group's stabilizer chain.  ``stop_at`` is passed to
+    ``_Chain.insert``: the order of a group known to contain the result."""
     extra = [g if isinstance(g, Perm) else Perm(g) for g in extra]
     ch = base.chain.copy()
-    added = [g for g in extra if ch.insert(g.images)]
+    added = [g for g in extra if ch.insert(g.images, stop_at)]
     return PermGroup._from_chain(ch, base.generators + tuple(added))
 
 

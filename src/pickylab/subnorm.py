@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import EngineDefect, InvalidArgument, ScaleExceeded
+from .errors import EngineDefect, InvalidArgument
 from .exactnum import prime_factors
 from .permgroup import (
     Perm,
@@ -32,6 +32,7 @@ from .permgroup import (
     _mul,
     _orbit,
     _Chain,
+    check_order_bound,
     conjugacy_classes,
     extended_group,
     group_generated_by,
@@ -99,12 +100,9 @@ def subnormalizer_set(
     orbit suffices; every element is still reported.  The set is computed
     once per (G, x) and cached on G; each call returns a new list.
     """
+    check_order_bound(G, config.subnormalizer_bound, "subnormalizer")
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
-    if G.order > config.subnormalizer_bound:
-        raise ScaleExceeded(
-            f"|G| = {G.order} exceeds the subnormalizer bound {config.subnormalizer_bound}"
-        )
     key = ("subnormalizer_set", x.images)
     if key not in G._cache:
         G._cache[key] = tuple(_scan_subnormalizer(G, x, config))
@@ -282,13 +280,12 @@ def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONF
     longest(H).  This agrees with the recursion over minimal overgroups,
     and visits the same subgroups: every subgroup between N and G is
     reached by minimal steps, and every <H, g> lies between N and G.
+    Most <H, g> are G itself, so each is built with ``stop_at = |G|``
+    (see ``_Chain.insert``) and ends as soon as it reaches that order.
     """
+    check_order_bound(G, config.chain_length_bound, "chain-length")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
-    if G.order > config.chain_length_bound:
-        raise ScaleExceeded(
-            f"|G| = {G.order} exceeds the chain-length bound {config.chain_length_bound}"
-        )
     g_elements = G.elements(config)
 
     def key_of(K: PermGroup) -> frozenset | None:
@@ -315,7 +312,7 @@ def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONF
             if gt in seen_cosets:
                 continue
             seen_cosets.update(_mul(h, gt) for h in key)
-            K = extended_group(H, [g])
+            K = extended_group(H, [g], G.order)
             found.setdefault(key_of(K), K)
         return found
 

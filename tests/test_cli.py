@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, JSON output, exit codes, catalogs, caching."""
 
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,15 @@ class TestErrors:
     def test_element_outside_group(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "A:4", "-x", "(1,2)")
         assert code == EXIT_ERROR
+
+    def test_too_large_group_refused_fast(self, capsys):
+        # The bound is seen on a chain stopped just past it, long before
+        # S150's full chain could be built.
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "table", "S:150")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "table bound 50000" in err
 
 
 class TestCatalog:

@@ -3,21 +3,28 @@ Sylow machinery, derived series, parsing.  The heavy lifting is oracled by
 plain brute force over element sets, which never touches the stabilizer
 chain."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pickylab.cli import load_catalog
-from pickylab.errors import InvalidArgument, ParseError
+from pickylab.errors import InvalidArgument, ParseError, ScaleExceeded
 from pickylab.permgroup import (
     Perm,
     PermGroup,
     _Chain,
+    _inv,
+    _is_identity,
+    _mul,
     centralizer,
+    check_order_bound,
     class_index_of,
     conjugacy_classes,
     derived_length,
     derived_series,
+    extended_group,
     is_ti_sylow,
     named_group,
     normal_closure,
@@ -46,6 +53,92 @@ def brute_closure(gens, degree):
                     nxt.append(prod)
         frontier = nxt
     return elems
+
+
+def definition_mul(p, q):
+    """Apply p, then q, image by image: the oracle for the kernel's _mul."""
+    return tuple(q[i] for i in p)
+
+
+def definition_is_identity(p):
+    return all(i == j for i, j in enumerate(p))
+
+
+class TestKernel:
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        )
+    )
+    @example(([0], [0]))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_and_is_identity_match_definitions(self, pair):
+        p, q = (tuple(t) for t in pair)
+        assert _mul(p, q) == definition_mul(p, q)
+        assert type(_mul(p, q)) is tuple
+        for t in (p, q, _mul(p, _inv(p)), tuple(range(len(p)))):
+            assert _is_identity(t) == definition_is_identity(t)
+
+    def test_known_order_exit_agrees_with_full_build(self, monkeypatch):
+        # <N_G(P), g> built with stop_at = |G| against the same build
+        # without it: same order and same membership over all of G.  A
+        # build that reaches |G| is complete, so every Schreier generator it
+        # skips would have sifted to the identity: the chains are equal
+        # level by level, and the exit only saves sifts.
+        sifts = Counter()
+        sift = _Chain._sift
+        mode = None
+
+        def counting(self, g, start=0):
+            sifts[mode] += 1
+            return sift(self, g, start)
+
+        monkeypatch.setattr(_Chain, "_sift", counting)
+        for entry in load_catalog("small"):
+            G = entry.build()
+            elements = [g.images for g in G.elements()]
+            for p in entry.effective_primes(G):
+                N = sylow_data(G, p).normalizer
+                for g in G.elements():
+                    mode = "exit"
+                    exited = extended_group(N, [g], G.order)
+                    mode = "full"
+                    full = extended_group(N, [g])
+                    mode = None
+                    assert exited.order == full.order, (entry.label, p, g)
+                    assert [exited.chain.contains(t) for t in elements] == [
+                        full.chain.contains(t) for t in elements
+                    ], (entry.label, p, g)
+                    assert [(lvl.base, lvl.gens, lvl.orbit) for lvl in exited.chain.levels] == [
+                        (lvl.base, lvl.gens, lvl.orbit) for lvl in full.chain.levels
+                    ]
+        assert sifts["exit"] < sifts["full"]
+
+
+class TestOrderBound:
+    def test_chain_under_the_bound_is_the_usual_one(self):
+        for entry in load_catalog("small"):
+            # The tightest bound that |G| does not exceed.
+            G = entry.build()
+            check_order_bound(G, entry.build().order, "test")
+            assert G._chain is not None
+            assert list(G.chain.iter_elements()) == list(entry.build().chain.iter_elements())
+
+    def test_stopped_chain_is_discarded(self):
+        for entry in load_catalog("small"):
+            G = entry.build()
+            order = entry.build().order
+            with pytest.raises(ScaleExceeded):
+                check_order_bound(G, order - 1, "test")
+            assert G._chain is None, entry.label
+            assert G.order == order
+            assert list(G.chain.iter_elements()) == list(entry.build().chain.iter_elements())
+
+    def test_large_group_refused_without_its_chain(self):
+        G = named_group("S:150")
+        with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
+            G.elements()
+        assert G._chain is None
 
 
 class TestPerm:

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pickylab import subnorm
+from pickylab import permgroup, subnorm
 from pickylab.cli import load_catalog
 from pickylab.config import EngineConfig
 from pickylab.errors import InvalidArgument, ScaleExceeded
-from pickylab.exactnum import prime_factors
+from pickylab.exactnum import p_adic_valuation, prime_factors
 from pickylab.permgroup import (
     Perm,
     PermGroup,
@@ -252,6 +252,12 @@ class TestSubnormalizerSet:
         with pytest.raises(ScaleExceeded):
             subnormalizer_set(named_group("S:5"), parse_perm("(1,2)", 5), EngineConfig(subnormalizer_bound=100))
 
+    def test_scale_bound_before_the_chain(self):
+        G = named_group("S:150")
+        with pytest.raises(ScaleExceeded, match="subnormalizer bound"):
+            subnormalizer_set(G, parse_perm("(1,2)", 150))
+        assert G._chain is None
+
     def test_conjugation_equivariance(self):
         S4 = named_group("S:4")
         x = parse_perm("(1,2)", 4)
@@ -454,3 +460,99 @@ class TestChainLength:
     def test_scale_bound(self):
         with pytest.raises(ScaleExceeded):
             chain_length(named_group("S:5"), named_group("S:5"), EngineConfig(chain_length_bound=60))
+
+    def test_scale_bound_before_the_chain(self):
+        # S150 is refused from a chain stopped past the bound; its full
+        # chain is never built (that takes longer than any test).
+        G = named_group("S:150")
+        with pytest.raises(ScaleExceeded, match="chain-length bound"):
+            chain_length(G, PermGroup([], 150))
+        assert G._chain is None
+
+    def test_known_order_exit_keeps_every_value(self, monkeypatch):
+        # Every subgroup as N, with extended_group's stop_at honoured and
+        # then ignored.
+        groups = {source: named_group(source) for source in ("S:4", "A:4", "D:12")}
+        subgroups = [
+            (source, PermGroup([Perm(t) for t in s], G.degree))
+            for source, G in groups.items()
+            for s in self.brute_all_subgroups(G)
+        ]
+
+        def lengths():
+            return [chain_length(groups[source], N) for source, N in subgroups]
+
+        exited = lengths()
+        monkeypatch.setattr(
+            subnorm,
+            "extended_group",
+            lambda base, extra, stop_at=None: permgroup.extended_group(base, extra),
+        )
+        assert lengths() == exited
+
+    def test_longest_chain_is_not_the_greedy_one(self):
+        # S3 wr C2 (order 72 = 2^3 3^2).  Omega(|G:N|), the number of prime
+        # factors of the index, bounds every chain from N, since each step
+        # has index at least a prime; an explicit chain of that length
+        # bounds from below.  A recursion that follows only the smallest
+        # overgroup finds 4 and 3 here.
+        G = named_group("wr:S:3~C:2")
+
+        def group(*gens):
+            return PermGroup([parse_perm(g, 6) for g in gens], 6)
+
+        cases = [
+            # Omega(72) = 5: 1 < C3 < C3^2 < C3^2:C2 < S3 x S3 < G.
+            (
+                group(),
+                [
+                    group("(1,2,3)"),
+                    group("(1,2,3)", "(4,5,6)"),
+                    group("(1,2,3)", "(4,5,6)", "(1,2)(4,5)"),
+                    group("(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)"),
+                ],
+            ),
+            # Omega(36) = 4: <(5,6)> < S3 on {4,5,6} < C3 x S3 < S3 x S3 < G.
+            (
+                group("(5,6)"),
+                [
+                    group("(5,6)", "(4,5,6)"),
+                    group("(5,6)", "(4,5,6)", "(1,2,3)"),
+                    group("(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)"),
+                ],
+            ),
+            # Omega(36) = 4: <a> < diagonal S3 < C3^2:<a> < S3 x S3 < G,
+            # with a = (2,3)(5,6).
+            (
+                group("(2,3)(5,6)"),
+                [
+                    group("(2,3)(5,6)", "(1,2,3)(4,5,6)"),
+                    group("(2,3)(5,6)", "(1,2,3)", "(4,5,6)"),
+                    group("(1,2)", "(1,2,3)", "(4,5)", "(4,5,6)"),
+                ],
+            ),
+            # Omega(36) = 4: <s> < C6 < C3 wr C2 < C3^2:(C2 x C2) < G, with
+            # s = (1,4)(2,5)(3,6) swapping the two blocks.
+            (
+                group("(1,4)(2,5)(3,6)"),
+                [
+                    group("(1,4)(2,5)(3,6)", "(1,2,3)(4,5,6)"),
+                    group("(1,4)(2,5)(3,6)", "(1,2,3)", "(4,5,6)"),
+                    group("(1,4)(2,5)(3,6)", "(1,2,3)", "(4,5,6)", "(2,3)(5,6)"),
+                ],
+            ),
+        ]
+        for N, middle in cases:
+            chain = [N, *middle, G]
+            for H, K in zip(chain, chain[1:]):
+                assert H.is_subgroup_of(K) and H.order < K.order
+            omega = sum(p_adic_valuation(G.order // N.order, q) for q in prime_factors(G.order))
+            assert omega == len(chain) - 1
+            assert chain_length(G, N) == omega, N
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_symmetric_groups_closed_form(self, n):
+        # Cameron, Solomon and Turull: l(S_n) = ceil(3n/2) - b(n) - 1, where
+        # b(n) is the number of ones in the binary expansion of n.
+        expected = -(-3 * n // 2) - bin(n).count("1") - 1
+        assert chain_length(named_group(f"S:{n}"), PermGroup([], n)) == expected
