@@ -1,9 +1,12 @@
 """Exact complex character tables.
 
-The table is computed by the classical class-algebra method: the class-sum
-matrices commute and their simultaneous eigenspaces over a suitable prime
-field F_q (q = 1 mod exponent(G), q > 2*sqrt(|G|)) are one-dimensional, one
-per irreducible character.  Central character values mod q determine the
+The table is computed by the class-algebra method of Dixon ("High speed
+computation of group characters", 1967) and Schneider ("Dixon's character
+table algorithm revisited", 1990): the class-sum matrices commute and their
+common eigenspaces over a prime field F_q (q = 1 mod exponent(G), q >
+2*sqrt(|G|)) are one-dimensional, one per irreducible character.  The
+matrices are built one at a time, smallest class first, until every common
+eigenspace is a line.  Central character values mod q determine the
 degrees, and the exact cyclotomic values are recovered through the
 finite-field discrete Fourier relation: the multiplicity of each eigenvalue
 zeta_m^t of a representing matrix is an ordinary integer below q, so its
@@ -35,6 +38,9 @@ from .permgroup import (
     ConjugacyClass,
     PermGroup,
     Perm,
+    _conj,
+    _mul,
+    _orbit,
     check_order_bound,
     class_index_of,
     conjugacy_classes,
@@ -188,20 +194,13 @@ def _restrict(M: list[list[int]], sub: _Subspace, q: int) -> list[list[int]]:
     return X
 
 
-def _split_common_eigenspaces(mats: list[list[list[int]]], q: int, k: int) -> list[list[int]]:
+def _split_common_eigenspaces(mats, q: int, k: int) -> list[list[int]]:
     """One-dimensional common eigenspaces of the commuting matrices.
 
-    Starts with a deterministic linear combination (which usually splits
-    everything at once) and refines with each matrix in turn."""
-    combo = [
-        [sum((i + 1) * mats[i][r][c] for i in range(len(mats))) % q for c in range(k)]
-        for r in range(k)
-    ]
-    queue_mats = [combo] + mats
+    Refines with each matrix in turn, taking the next one from the
+    iterable ``mats`` only while some subspace has dimension above one."""
     subspaces = [_Subspace([[1 if c == r else 0 for c in range(k)] for r in range(k)], list(range(k)))]
-    for M in queue_mats:
-        if all(s.dim == 1 for s in subspaces):
-            break
+    for M in mats:
         nxt: list[_Subspace] = []
         for sub in subspaces:
             if sub.dim == 1:
@@ -230,9 +229,9 @@ def _split_common_eigenspaces(mats: list[list[list[int]]], q: int, k: int) -> li
             if total_dim != sub.dim:
                 raise EngineDefect("eigenspace dimensions do not add up")
         subspaces = nxt
-    if not all(s.dim == 1 for s in subspaces):
-        raise EngineDefect("common eigenspaces failed to split to dimension one")
-    return [s.rows[0] for s in subspaces]
+        if all(s.dim == 1 for s in subspaces):
+            return [s.rows[0] for s in subspaces]
+    raise EngineDefect("common eigenspaces failed to split to dimension one")
 
 
 # ----------------------------------------------------------------------
@@ -367,22 +366,9 @@ def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
 
     q = _field_prime(e, order)
 
-    # Class multiplication coefficients: mats[i][j][l] = #{(x, y) in C_i x C_j : xy = rep_l}.
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    elems = G.elements(config)
-    inv_images = [x.inverse().images for x in elems]
-    from .permgroup import _mul as raw_mul  # tuple-level composition
-
-    for l, rep in enumerate(reps):
-        rt = rep.images
-        col = l
-        for idx, x in enumerate(elems):
-            i = class_of[x.images]
-            j = class_of[raw_mul(inv_images[idx], rt)]
-            mats[i][j][col] += 1
-    mats = [[[v % q for v in row] for row in M] for M in mats]
-
-    eigvecs = _split_common_eigenspaces(mats, q, k)
+    # The identity class gives the identity matrix; the others go smallest first.
+    by_size = sorted(range(1, k), key=lambda i: (sizes[i], i))
+    eigvecs = _split_common_eigenspaces((_class_matrix(G, classes, i, q) for i in by_size), q, k)
 
     # Normalise so the identity-class coordinate is 1 (omega at identity).
     id_class = 0  # classes are sorted by element order, identity first
@@ -457,6 +443,19 @@ def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
     values_sorted = [t[4] for t in decorated]
 
     return CharacterTable(G, classes, values_sorted, degrees_sorted, power_maps, inverse_classes, q)
+
+
+def _class_matrix(G: PermGroup, classes, i: int, q: int) -> list[list[int]]:
+    """M[j][l] = #{(x, y) in C_i x C_j : xy = rep_l} mod q, at k * |C_i| compositions:
+    the inverses x^-1 of C_i's members are the conjugation orbit of rep_i^-1."""
+    gens = [g.images for g in G.generators]
+    inverses = _orbit(gens, classes[i].representative.inverse().images, _conj)
+    M = [[0] * len(classes) for _ in classes]
+    for l, c in enumerate(classes):
+        rt = c.representative.images
+        for x_inv in inverses:
+            M[G._class_of[_mul(x_inv, rt)]][l] += 1
+    return [[v % q for v in row] for row in M]
 
 
 def _field_prime(e: int, order: int) -> int:

@@ -191,9 +191,10 @@ def _reverify_mismatch(G, H, x, p, variant, config) -> bool:
 def check_ito_michler(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
     """Normal abelian Sylow p-subgroup iff no degree divisible by p."""
     t0 = time.monotonic()
+    # The table first: its bound refuses before sylow_data (unbounded) builds G's chain.
+    degrees_p = cd_p(character_table(G, config), p)
     data = sylow_data(G, p, config)
     left = data.count == 1 and data.subgroup.is_abelian()
-    degrees_p = cd_p(character_table(G, config), p)
     right = degrees_p == (1,)
     status = HOLDS if left == right else FAILS
     witnesses = {

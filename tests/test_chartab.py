@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pickylab import chartab, conjectures
 from pickylab.chartab import (
@@ -26,6 +28,7 @@ from pickylab.permgroup import (
     PermGroup,
     conjugacy_classes,
     derived_series,
+    exponent,
     named_group,
     p_elements,
     parse_perm,
@@ -374,3 +377,91 @@ class TestInvariants:
     def test_class_count_equals_character_count(self, small_catalog_groups):
         for label, (G, _) in small_catalog_groups.items():
             assert character_table(G).k == len(conjugacy_classes(G))
+
+
+# ----------------------------------------------------------------------
+# The table build against its definition: every class-multiplication
+# coefficient from one pass over the whole group, split with a linear
+# combination of all the class matrices first.
+
+def _mul_oracle(p, q):
+    """Apply p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def _oracle_mats(G, q):
+    """mats[i][j][l] = #{(x, y) in C_i x C_j : xy = rep_l} mod q, from the
+    k * |G| compositions x^-1 * rep_l over every x in G."""
+    classes = conjugacy_classes(G)
+    k = len(classes)
+    class_of = G._class_of
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    elems = G.elements()
+    inv_images = [x.inverse().images for x in elems]
+    for l, c in enumerate(classes):
+        rt = c.representative.images
+        for idx, x in enumerate(elems):
+            i = class_of[x.images]
+            j = class_of[_mul_oracle(inv_images[idx], rt)]
+            mats[i][j][l] += 1
+    return [[[v % q for v in row] for row in M] for M in mats]
+
+
+def _oracle_table(G, monkeypatch):
+    """G's table built from every class matrix, with the combination
+    sum_i (i + 1) * M_i tried before the matrices themselves."""
+    split = chartab._split_common_eigenspaces
+
+    def split_all(_lazy_mats, q, k):
+        mats = _oracle_mats(G, q)
+        combo = [
+            [sum((i + 1) * mats[i][r][c] for i in range(k)) % q for c in range(k)]
+            for r in range(k)
+        ]
+        return split([combo] + mats, q, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_split_common_eigenspaces", split_all)
+        return chartab._build_table(G, DEFAULT_CONFIG)
+
+
+def _assert_same_build(G, monkeypatch, label=None):
+    oracle = _oracle_table(G, monkeypatch)
+    assert chartab._build_table(G, DEFAULT_CONFIG).to_json_dict() == oracle.to_json_dict(), label
+
+
+class TestClassMatrices:
+    def test_build_equals_oracle_on_the_catalog(self, full_catalog_groups, monkeypatch):
+        for label, (G, _) in full_catalog_groups.items():
+            _assert_same_build(G, monkeypatch, label)
+
+    def test_build_equals_oracle_on_s8(self, monkeypatch):
+        _assert_same_build(named_group("S:8"), monkeypatch)
+
+    def test_class_matrix_equals_oracle(self, small_catalog_groups):
+        for label, (G, _) in small_catalog_groups.items():
+            classes = conjugacy_classes(G)
+            q = chartab._field_prime(exponent(G), G.order)
+            mats = _oracle_mats(G, q)
+            for i in range(len(classes)):
+                assert chartab._class_matrix(G, classes, i, q) == mats[i], (label, i)
+
+    # The strategy of tests/test_differential.py: four permutations of
+    # degree 5 or 6 give groups up to S6 rather than mostly tiny ones.
+    @given(images=st.integers(5, 6).flatmap(lambda n: st.tuples(*[st.permutations(range(n))] * 4)))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_build_equals_oracle_on_random_subgroups(self, images, monkeypatch):
+        _assert_same_build(PermGroup(list(images), len(images[0])), monkeypatch)
+
+    @pytest.mark.parametrize("name, used", [("S:8", 2), ("S:7", 1), ("A:5", 1)])
+    def test_splitting_stops_once_every_eigenspace_is_a_line(self, name, used, monkeypatch):
+        calls = []
+        original = chartab._class_matrix
+
+        def counting(G, classes, i, q):
+            calls.append(i)
+            return original(G, classes, i, q)
+
+        monkeypatch.setattr(chartab, "_class_matrix", counting)
+        chartab._build_table(named_group(name), DEFAULT_CONFIG)
+        assert len(calls) == used

@@ -156,6 +156,15 @@ class TestErrors:
         assert code == EXIT_ERROR and out == ""
         assert "table bound 50000" in err
 
+    def test_check_all_on_too_large_group_refused_fast(self, capsys):
+        # ito_michler, the first check, asks for the table before sylow_data,
+        # which has no bound and would build S150's full chain.
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "check", "all", "S:150", "-p", "2")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "table bound 50000" in err
+
 
 class TestCatalog:
     def test_bundled_catalogs_load(self):
