@@ -24,6 +24,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineDefect, InvalidArgument
 from .exactnum import (
@@ -45,6 +46,7 @@ from .permgroup import (
     class_index_of,
     conjugacy_classes,
     exponent,
+    find_same_subgroup,
 )
 
 # ----------------------------------------------------------------------
@@ -320,7 +322,7 @@ def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> Char
     check_order_bound(G, config.table_bound, "table")
     with _shared_lock:
         same_size = _shared_tables.setdefault((G.degree, G.order), weakref.WeakSet())
-        table = next((T for T in same_size if G.is_subgroup_of(T.group)), None)
+        table = find_same_subgroup(G, same_size, attrgetter("group"))
         if table is None:
             table = _table_from_scratch(G, config)
             same_size.add(table)

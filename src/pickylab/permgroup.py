@@ -459,6 +459,14 @@ def check_order_bound(G: PermGroup, bound: int, what: str) -> None:
         raise ScaleExceeded(f"|G| exceeds the {what} bound {bound}")
 
 
+def find_same_subgroup(K: PermGroup, items, group=lambda item: item):
+    """The first of ``items`` whose group is K, or None.  Every item's group
+    must have K's degree and order: then containment means equal element
+    sets.  Each test sifts K's generators through a candidate's chain; no
+    element set is listed."""
+    return next((item for item in items if K.is_subgroup_of(group(item))), None)
+
+
 def extended_group(base: PermGroup, extra, stop_at: int | None = None) -> PermGroup:
     """The group generated by ``base`` and extra permutations; reuses the
     base group's stabilizer chain.  ``stop_at`` is passed to
@@ -598,23 +606,30 @@ def normalizer(G: PermGroup, H: PermGroup, config: EngineConfig = DEFAULT_CONFIG
     return _orbit_stabilizer(G, H.element_fingerprint(config), _conj_set, H.generators)[1]
 
 
-def normal_closure_chain(gen_tuples, seed_tuples, degree: int) -> tuple[_Chain, list]:
+def normal_closure_chain(
+    gen_tuples, seed_tuples, degree: int, stop_at: int | None = None
+) -> tuple[_Chain, list]:
     """Chain and generator tuples of the normal closure of the seeds under
     the group generated by ``gen_tuples``.  The generators are the seeds and
-    conjugates that enlarged the closure, in the order they did so."""
+    conjugates that enlarged the closure, in the order they did so.
+
+    ``stop_at`` is passed to ``_Chain.insert``, and the build ends as soon
+    as the chain's order reaches it.  Such a chain is partial: it is read
+    only for its order, a lower bound of the closure's."""
     ch = _Chain(degree)
     gens: list[tuple[int, ...]] = []
-    queue: list[tuple[int, ...]] = []
-    for t in seed_tuples:
-        if ch.insert(t):
+
+    def candidates():
+        yield from seed_tuples
+        for s in gens:  # gens grows while it is read: it is also the queue
+            for g in gen_tuples:
+                yield _conj(s, g)
+
+    for t in candidates():
+        if ch.insert(t, stop_at):
             gens.append(t)
-            queue.append(t)
-    for s in queue:
-        for g in gen_tuples:
-            c = _conj(s, g)
-            if ch.insert(c):
-                gens.append(c)
-                queue.append(c)
+            if stop_at is not None and ch.order() >= stop_at:
+                break
     return ch, gens
 
 

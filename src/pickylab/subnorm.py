@@ -4,7 +4,25 @@ subgroup chain lengths.
 Everything is derived from the definitions: H is subnormal in K when the
 descending normal-closure series K >= <H^K> >= <H^<H^K>> >= ... terminates
 at H, and the subnormalizer set S_G(<x>) collects the g with <x> subnormal
-in <x, g>.  Four maps of G leave that verdict unchanged:
+in <x, g>.
+
+A p-subgroup A of K is subnormal in K exactly when its normal closure
+<A^K> is a p-group (Wielandt, Math. Z. 45, 1939; Isaacs, Finite Group
+Theory, AMS 2008, ch. 2):
+
+* if A = A_0 <| A_1 <| ... <| A_r = K, then A <= O_p(A_(r-1)) by
+  induction on r, a p-subgroup characteristic in A_(r-1) <| K and so
+  normal in K; hence A <= O_p(K), and <A^K> <= O_p(K) is a p-group;
+* if <A^K> is a p-group, A is subnormal in it, as in every nilpotent
+  group, and <A^K> is normal in K.
+
+So for a p-element x one closure decides, built only until its order
+passes |G|_p: a closure that large is no p-group.  The commutator
+[x, g] = x^-1 x^g lies in the normal closure of <x> in <x, g>, so a g with
+[x, g] not a p-element is rejected without one.  Seeds of other orders run
+the descending series.
+
+Four maps of G leave the verdict for <x, g> unchanged:
 
 * t -> x t and t -> t x, since <x, x^a t x^b> = <x, t>;
 * t -> t^-1, since <x, t^-1> = <x, t>;
@@ -14,27 +32,31 @@ in <x, g>.  Four maps of G leave that verdict unchanged:
 So the scan tests one element per orbit of G under these maps.  Right
 multiplication by x is inversion, left multiplication by x^-1 and inversion
 again, so the orbits are computed without a map of its own for it.
-Centralizing or <x>-normalizing elements are accepted without the series.
+Centralizing or <x>-normalizing elements are accepted without a closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineDefect, InvalidArgument
-from .exactnum import prime_factors
+from .exactnum import p_adic_valuation, prime_factors
 from .permgroup import (
     Perm,
     PermGroup,
     _conj,
     _inv,
+    _is_identity,
     _mul,
     _orbit,
     _Chain,
     check_order_bound,
     conjugacy_classes,
     extended_group,
+    find_same_subgroup,
     group_generated_by,
     is_p_element,
     normal_closure_chain,
@@ -45,9 +67,27 @@ from .permgroup import (
 )
 
 # ----------------------------------------------------------------------
-# Subnormality via normal closure series.
+# Subnormality.
 
-def _is_subnormal_tuples(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
+def _is_subnormal_tuples(
+    seed_tuples, seed_order: int, group_gens, degree: int, group_order: int
+) -> bool:
+    """<seeds> subnormal in <group_gens>, a subgroup of a group of order
+    ``group_order``.  For seeds of p-power order by one normal closure,
+    stopped once its order passes the p-part of ``group_order``; otherwise
+    by the descending series."""
+    primes = prime_factors(seed_order)
+    if len(primes) != 1:
+        return _descending_series(seed_tuples, seed_order, group_gens, degree)
+    (p,) = primes
+    p_part = p ** p_adic_valuation(group_order, p)
+    closure, _ = normal_closure_chain(group_gens, seed_tuples, degree, p_part + 1)
+    # A complete closure's order divides group_order, so it is a p-group
+    # exactly when its order divides p_part; a stopped one exceeds p_part.
+    return p_part % closure.order() == 0
+
+
+def _descending_series(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
     """<seeds> subnormal in <group_gens>, by the descending closure series."""
     gens = list(group_gens)
     ch = _Chain(degree)
@@ -71,22 +111,26 @@ def is_subnormal(H: PermGroup, K: PermGroup) -> bool:
         H.order,
         [g.images for g in K.generators],
         K.degree,
+        K.order,
     )
 
 
 # ----------------------------------------------------------------------
 # Subnormalizer sets and subgroups.
 
-def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm) -> bool:
-    """Is <x> subnormal in <x, g>?  (x_tuples = all powers of x.)"""
+def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_order: int) -> bool:
+    """Is <x> subnormal in <x, g>?  (x_tuples = all powers of x; x and g
+    lie in a group of order ``group_order``.)"""
     xt = x.images
     gt = g.images
+    xg = _conj(xt, gt)
     # Centralizing or <x>-normalizing elements qualify immediately.
-    if _mul(xt, gt) == _mul(gt, xt):
+    if xg in x_tuples:
         return True
-    if _conj(xt, gt) in x_tuples:
-        return True
-    return _is_subnormal_tuples([xt], x_order, [xt, gt], len(xt))
+    primes = prime_factors(x_order)
+    if len(primes) == 1 and not is_p_element(Perm(_mul(_inv(xt), xg)), primes[0]):
+        return False  # [x, g] lies in the normal closure of <x>
+    return _is_subnormal_tuples([xt], x_order, [xt, gt], len(xt), group_order)
 
 
 def subnormalizer_set(
@@ -124,7 +168,7 @@ def _scan_subnormalizer(G: PermGroup, x: Perm, config: EngineConfig) -> list[Per
     for g in G.elements(config):
         verdict = decided.get(g.images)
         if verdict is None:
-            verdict = _subnormal_in_generated(x, powers, x_order, g)
+            verdict = _subnormal_in_generated(x, powers, x_order, g, G.order)
             decided.update(dict.fromkeys(_orbit(maps, g.images, _apply), verdict))
         if verdict:
             members.append(g)
@@ -280,40 +324,58 @@ def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONF
     longest(H).  This agrees with the recursion over minimal overgroups,
     and visits the same subgroups: every subgroup between N and G is
     reached by minimal steps, and every <H, g> lies between N and G.
-    Most <H, g> are G itself, so each is built with ``stop_at = |G|``
-    (see ``_Chain.insert``) and ends as soon as it reaches that order.
+
+    When the coset Hg is scanned, every H g^k with k prime to the order of
+    g is marked as scanned too: g is a power of g^k, so <H, g^k> = <H, g>.
+    Most <H, g> are G itself, so each is built with ``stop_at = |G|`` (see
+    ``_Chain.insert``) and ends as soon as it reaches that order.  Subgroups
+    are told apart by order plus containment (``find_same_subgroup``); only
+    the subgroup whose cosets are being scanned is enumerated.
     """
     check_order_bound(G, config.chain_length_bound, "chain-length")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
     g_elements = G.elements(config)
+    memo: dict[int, list[tuple[PermGroup, int]]] = {}  # order -> (K, longest(K))
 
-    def key_of(K: PermGroup) -> frozenset | None:
-        # The element set; None for G itself, where every chain ends.
-        return None if K.order == G.order else frozenset(K.chain.iter_elements())
-
-    memo: dict[frozenset | None, int] = {None: 0}
-
-    def longest(H: PermGroup, key: frozenset | None) -> int:
-        if key not in memo:
-            found = _overgroups(H, key)
+    def longest(H: PermGroup) -> int:
+        if H.order == G.order:
+            return 0
+        same_order = memo.setdefault(H.order, [])
+        entry = find_same_subgroup(H, same_order, itemgetter(0))
+        if entry is None:
+            found = _overgroups(H)
             if not found:
                 raise EngineDefect("no overgroup found for a proper subgroup")
-            memo[key] = 1 + max(longest(K, k) for k, K in found.items())
-        return memo[key]
+            entry = (H, 1 + max(map(longest, found)))
+            same_order.append(entry)
+        return entry[1]
 
-    def _overgroups(H: PermGroup, key: frozenset) -> dict[frozenset | None, PermGroup]:
-        # <H, g> by key, for one g per right coset Hg; the cosets are freed
-        # before the recursion goes deeper.
-        found: dict[frozenset | None, PermGroup] = {}
-        seen_cosets = set(key)
+    def _overgroups(H: PermGroup) -> list[PermGroup]:
+        # <H, g> for one g per right coset Hg, each subgroup once; the
+        # cosets are freed before the recursion goes deeper.
+        h_elements = list(H.chain.iter_elements())
+        seen_cosets = set(h_elements)
+        by_order: dict[int, list[PermGroup]] = {}
         for g in g_elements:
             gt = g.images
             if gt in seen_cosets:
                 continue
-            seen_cosets.update(_mul(h, gt) for h in key)
+            for gk in _cyclic_generators(gt):
+                seen_cosets.update(_mul(h, gk) for h in h_elements)
             K = extended_group(H, [g], G.order)
-            found.setdefault(key_of(K), K)
-        return found
+            same_order = by_order.setdefault(K.order, [])
+            if find_same_subgroup(K, same_order) is None:
+                same_order.append(K)
+        return [K for same_order in by_order.values() for K in same_order]
 
-    return longest(N, key_of(N))
+    return longest(N)
+
+
+def _cyclic_generators(gt: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """g^k for every k prime to the order of g: the generators of <g>."""
+    powers = [gt]
+    while not _is_identity(powers[-1]):
+        powers.append(_mul(powers[-1], gt))
+    n = len(powers)
+    return [t for k, t in enumerate(powers, 1) if gcd(k, n) == 1]

@@ -51,6 +51,8 @@ def invariants(G, primes):
             data.count,
             data.normalizer.order,
             chain_length(G, data.normalizer),
+            # From P itself the recursion passes through more subgroups.
+            chain_length(G, data.subgroup),
             subnormalizers,
         )
     # The build is the part of the table layer that sees the labelling; the

@@ -1,7 +1,10 @@
 """Source-level guards: every built-in cross-check must survive python -O,
-and every name the package defines has a use."""
+every name the package defines has a use, and every name the benchmark's
+tracer hooks exists."""
 
 import ast
+import importlib
+import importlib.util
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -60,3 +63,21 @@ def test_every_defined_name_is_used():
         definitions.update(_definitions(ast.parse(path.read_text(), str(path))))
     unused = sorted(name for name, n in definitions.items() if occurrences[name] <= n)
     assert unused == [], f"names without a use: {unused}"
+
+
+def test_every_traced_boundary_exists():
+    """Each (module, path) that perfbench/tracer.py wraps names an attribute
+    defined on a pickylab module or class, so a rename fails here instead
+    of zeroing a per-layer row of the benchmark."""
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _ in tracer.BOUNDARIES:
+        owner = importlib.import_module(f"pickylab.{module}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if not callable(vars(owner).get(attr) if owner is not None else None):
+            missing.append(f"{module}.{path}")
+    assert missing == [], f"traced names missing from pickylab: {missing}"

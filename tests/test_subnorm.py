@@ -21,12 +21,14 @@ from pickylab.permgroup import (
     PermGroup,
     _mul,
     conjugacy_classes,
+    extended_group,
     named_group,
     normalizer,
     parse_perm,
     sylow_data,
 )
 from pickylab.subnorm import (
+    _descending_series,
     _subnormal_in_generated,
     chain_length,
     covering_analysis,
@@ -116,7 +118,7 @@ def double_coset_subnormalizer_set(G, x):
     for g in G.elements():
         gt = g.images
         if gt not in decided:
-            verdict = _subnormal_in_generated(x, powers_set, x_order, g)
+            verdict = _subnormal_in_generated(x, powers_set, x_order, g, G.order)
             for a in powers:
                 ag = _mul(a, gt)
                 for b in powers:
@@ -161,6 +163,15 @@ def in_o_p(H, p, x):
     return x.images in core
 
 
+@pytest.fixture(scope="module")
+def oracle_groups():
+    """The small catalog plus S5 and S6, by source."""
+    groups = {entry.source: entry.build() for entry in load_catalog("small")}
+    for source in ("S:5", "S:6"):
+        groups.setdefault(source, named_group(source))
+    return groups
+
+
 # ----------------------------------------------------------------------
 
 
@@ -203,6 +214,26 @@ class TestIsSubnormal:
             )
             assert is_subnormal(PermGroup([x]), K) == expected
 
+    def test_subgroups_that_are_not_p_groups(self):
+        # These run the descending series, not the p-group closure.
+        cases = [
+            # C2 x C3 < V x C3 < A4 x C3: subnormal in two steps.
+            ("(1,2)(3,4) (5,6,7)", "(1,2)(3,4) (1,2,3) (5,6,7)", 7, True),
+            # S3 in S4: its normal closure is S4.
+            ("(1,2,3) (1,2)", "(1,2,3,4) (1,2)", 4, False),
+            # C2 x C3 in S5: its normal closure is S5.
+            ("(1,2) (3,4,5)", "(1,2,3,4,5) (1,2)", 5, False),
+            # S3 x 1, normal in S3 x S3 on two blocks of three points.
+            ("(1,2,3) (1,2)", "(1,2,3) (1,2) (4,5,6) (4,5)", 6, True),
+        ]
+        for h_gens, k_gens, degree, expected in cases:
+            H = PermGroup([parse_perm(t, degree) for t in h_gens.split()], degree)
+            K = PermGroup([parse_perm(t, degree) for t in k_gens.split()], degree)
+            assert len(prime_factors(H.order)) > 1
+            k_set = frozenset(g.images for g in K.elements())
+            assert brute_is_subnormal({g.images for g in H.generators}, k_set, degree) == expected
+            assert is_subnormal(H, K) == expected, h_gens
+
 
 class TestSubnormalizerSet:
     def test_central_element(self):
@@ -222,7 +253,10 @@ class TestSubnormalizerSet:
         for name, elements in [
             ("S:4", ["(1,2)", "(1,2,3,4)", "(1,2)(3,4)", "(1,2,3)"]),
             ("A:4", ["(1,2)(3,4)", "(1,2,3)"]),
-            ("D:12", ["(1,4)(2,5)(3,6)", "(1,3,5)(2,4,6)"]),
+            # (1,2,3,4,5,6) and (1,2)(3,4,5) have mixed order, so their
+            # tests run the descending series, not the p-group closure.
+            ("D:12", ["(1,4)(2,5)(3,6)", "(1,3,5)(2,4,6)", "(1,2,3,4,5,6)"]),
+            ("S:5", ["(1,2)(3,4,5)"]),
         ]:
             G = named_group(name)
             for xs in elements:
@@ -270,13 +304,6 @@ class TestSubnormalizerSet:
 class TestOrbitScanOracle:
     """The orbit-reduced scan against the double-coset scan it replaced:
     same members, in the same order."""
-
-    @pytest.fixture(scope="class")
-    def oracle_groups(self):
-        groups = {entry.source: entry.build() for entry in load_catalog("small")}
-        for source in ("S:5", "S:6"):
-            groups.setdefault(source, named_group(source))
-        return groups
 
     def test_every_class_representative(self, oracle_groups):
         for source, G in oracle_groups.items():
@@ -328,6 +355,52 @@ class TestOrbitScanOracle:
         assert subnormalizer_set(S4, x) == double_coset_subnormalizer_set(S4, x)
 
 
+def series_subnormalizer_set(G, x):
+    """Every g with <x> subnormal in <x, g> by the descending closure
+    series alone: no quick accept, commutator check or p-group closure."""
+    xt = x.images
+    return [
+        g for g in G.elements() if _descending_series([xt], x.order(), [xt, g.images], G.degree)
+    ]
+
+
+class TestClosureCriterion:
+    """For a p-element x, one normal closure of <x> in <x, g>, stopped past
+    |G|_p, against the descending closure series."""
+
+    def test_every_p_element_class_representative(self, oracle_groups):
+        verdicts = set()
+        for source, G in oracle_groups.items():
+            for p in prime_factors(G.order):
+                for x in p_element_class_representatives(G, p):
+                    powers = frozenset((x**k).images for k in range(x.order()))
+                    got = [
+                        g for g in G.elements()
+                        if _subnormal_in_generated(x, powers, x.order(), g, G.order)
+                    ]
+                    want = series_subnormalizer_set(G, x)
+                    assert got == want, (source, x.cycle_string())
+                    verdicts.add(len(got) == G.order)
+        assert verdicts == {True, False}
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_two_generated_subgroups_of_sn(self, images, data):
+        a, b = images
+        G = PermGroup([a, b], len(a))
+        p_elements = [g for g in G.elements() if len(prime_factors(g.order())) == 1]
+        if not p_elements:
+            return  # G is trivial
+        x = data.draw(st.sampled_from(p_elements))
+        got = [g.images for g in subnormalizer_set(G, x)]
+        assert got == [g.images for g in series_subnormalizer_set(G, x)]
+
+
 class TestWielandtCriterion:
     """An independent path for p-elements: <x> is subnormal in H = <x, g>
     iff x lies in O_p(H) (Wielandt)."""
@@ -340,7 +413,7 @@ class TestWielandtCriterion:
             for x in p_element_class_representatives(G, p):
                 powers = frozenset((x**k).images for k in range(x.order()))
                 for g in G.elements():
-                    verdict = _subnormal_in_generated(x, powers, x.order(), g)
+                    verdict = _subnormal_in_generated(x, powers, x.order(), g, G.order)
                     H = PermGroup([x, g], G.degree)
                     assert verdict == in_o_p(H, p, x), (x.cycle_string(), g.cycle_string())
                     verdicts.add(verdict)
@@ -398,6 +471,35 @@ class TestCovering:
                 covering_analysis(G, p)
 
 
+def frozenset_chain_length(G, N):
+    """chain_length as it was before subgroups were told apart by order and
+    containment: memo keys are element sets, and one g is taken per right
+    coset Hg, with no power cosets marked."""
+    g_elements = G.elements()
+
+    def key_of(K):
+        # The element set; None for G itself, where every chain ends.
+        return None if K.order == G.order else frozenset(K.chain.iter_elements())
+
+    memo = {None: 0}
+
+    def longest(H, key):
+        if key not in memo:
+            found = {}
+            seen_cosets = set(key)
+            for g in g_elements:
+                gt = g.images
+                if gt in seen_cosets:
+                    continue
+                seen_cosets.update(_mul(h, gt) for h in key)
+                K = extended_group(H, [g], G.order)
+                found.setdefault(key_of(K), K)
+            memo[key] = 1 + max(longest(K, k) for k, K in found.items())
+        return memo[key]
+
+    return longest(N, key_of(N))
+
+
 class TestChainLength:
     def brute_all_subgroups(self, G):
         """Every subgroup of G, generated from pairs of elements plus a
@@ -445,7 +547,32 @@ class TestChainLength:
 
             for s in subs:
                 N = PermGroup([Perm(t) for t in s], G.degree)
-                assert chain_length(G, N) == longest_from(s), (source, sorted(s))
+                want = longest_from(s)
+                assert chain_length(G, N) == want, (source, sorted(s))
+                assert frozenset_chain_length(G, N) == want, (source, sorted(s))
+
+    @pytest.mark.parametrize("source", ["S:5", "A:6", "wr:S:3~C:2"])
+    def test_sylow_subgroups_and_normalizers_against_element_set_keys(self, source):
+        G = named_group(source)
+        for p in prime_factors(G.order):
+            data = sylow_data(G, p)
+            for N in (data.normalizer, data.subgroup):
+                assert chain_length(G, N) == frozenset_chain_length(G, N), (source, p, N)
+
+    def test_power_cosets_are_not_scanned(self, monkeypatch):
+        # <H, g^k> = <H, g> for k prime to the order of g, so the scan skips
+        # H g^k once Hg is done: 503 overgroup builds for S7 at p = 2 from
+        # N_G(P), where one build per right coset made 686.
+        builds = []
+
+        def counting(base, extra, stop_at=None):
+            builds.append(base)
+            return permgroup.extended_group(base, extra, stop_at)
+
+        monkeypatch.setattr(subnorm, "extended_group", counting)
+        G = named_group("S:7")
+        assert chain_length(G, sylow_data(G, 2).normalizer) == 3
+        assert len(builds) == 503
 
     def test_s5_sylow2_normalizer(self):
         S5 = named_group("S:5")
