@@ -7,7 +7,6 @@ checks a battery of theorem- and conjecture-shaped statements with exact
 arithmetic and structured witnesses.
 """
 
-from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import (
     EngineDefect,
     InvalidArgument,
@@ -17,8 +16,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_CONFIG",
-    "EngineConfig",
     "EngineDefect",
     "InvalidArgument",
     "ParseError",

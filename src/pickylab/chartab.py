@@ -25,7 +25,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from .config import DEFAULT_CONFIG, EngineConfig
+
+from .config import TABLE_BOUND
 from .errors import EngineDefect, InvalidArgument
 from .exactnum import (
     Cyclotomic,
@@ -264,14 +265,12 @@ class CharacterTable:
     """Exact character table: rows are irreducible characters (row 0 is the
     principal character), columns are conjugacy classes in canonical order."""
 
-    def __init__(self, group: PermGroup, classes, values, degrees, power_maps, inverse_classes, field_prime):
+    def __init__(self, group: PermGroup, classes, values, degrees, inverse_classes):
         self.group = group
         self.classes: tuple[ConjugacyClass, ...] = tuple(classes)
         self.values: tuple[tuple[Cyclotomic, ...], ...] = tuple(tuple(r) for r in values)
         self.degrees: tuple[int, ...] = tuple(degrees)
-        self.power_maps: dict[int, tuple[int, ...]] = dict(power_maps)
         self.inverse_classes: tuple[int, ...] = tuple(inverse_classes)
-        self.field_prime = field_prime
 
     @property
     def k(self) -> int:
@@ -310,7 +309,7 @@ _shared_tables: dict[tuple[int, int], weakref.WeakSet] = {}
 _shared_lock = threading.Lock()
 
 
-def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> CharacterTable:
+def character_table(G: PermGroup) -> CharacterTable:
     """The exact character table of G.
 
     The table is shared by every group object that is the same subgroup of
@@ -319,35 +318,35 @@ def character_table(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> Char
     so it lives as long as some group object that uses it."""
     if "chartab" in G._cache:
         return G._cache["chartab"]
-    check_order_bound(G, config.table_bound, "table")
+    check_order_bound(G, TABLE_BOUND, "table")
     with _shared_lock:
         same_size = _shared_tables.setdefault((G.degree, G.order), weakref.WeakSet())
         table = find_same_subgroup(G, same_size, attrgetter("group"))
         if table is None:
-            table = _table_from_scratch(G, config)
+            table = _table_from_scratch(G)
             same_size.add(table)
     G._cache["chartab"] = table
     return table
 
 
-def _table_from_scratch(G: PermGroup, config: EngineConfig) -> CharacterTable:
+def _table_from_scratch(G: PermGroup) -> CharacterTable:
     """Build and verify G's table, bypassing every cache of tables."""
-    table = _build_table(G, config)
+    table = _build_table(G)
     _verify_table(table)
     return table
 
 
-def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
-    classes = conjugacy_classes(G, config)
+def _build_table(G: PermGroup) -> CharacterTable:
+    classes = conjugacy_classes(G)
     k = len(classes)
     order = G.order
     class_of = G._class_of
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
-    e = exponent(G, config)
+    e = exponent(G)
 
-    # Power maps: full per-class power classes, plus the per-prime maps.
+    # Power maps: the class of each power of each class representative.
     full_pow: list[list[int]] = []
     for j, rep in enumerate(reps):
         m = orders[j]
@@ -358,13 +357,10 @@ def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
             x = x * rep
         full_pow.append(row)
     inverse_classes = [class_of[rep.inverse().images] for rep in reps]
-    power_maps = {
-        r: tuple(full_pow[j][r % orders[j]] for j in range(k)) for r in prime_factors(e)
-    }
 
     if k == 1:
         values = [[Cyclotomic.from_rational(1)]]
-        return CharacterTable(G, classes, values, [1], power_maps, inverse_classes, 0)
+        return CharacterTable(G, classes, values, [1], inverse_classes)
 
     q = _field_prime(e, order)
 
@@ -444,7 +440,7 @@ def _build_table(G: PermGroup, config: EngineConfig) -> CharacterTable:
     degrees_sorted = [t[3] for t in decorated]
     values_sorted = [t[4] for t in decorated]
 
-    return CharacterTable(G, classes, values_sorted, degrees_sorted, power_maps, inverse_classes, q)
+    return CharacterTable(G, classes, values_sorted, degrees_sorted, inverse_classes)
 
 
 def _class_matrix(G: PermGroup, classes, i: int, q: int) -> list[list[int]]:

@@ -6,25 +6,19 @@ desk scale (symmetric groups up to S8 for tables, up to ~10^4 elements
 for subnormalizer sweeps).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    # Largest |G| for which all elements may be materialised (classes,
-    # brute-force sweeps, covering analysis).
-    enum_bound: int = 100_000
-    # Largest |G| for which a generic character table is computed; bigger
-    # symmetric/wreath groups should go through the fast symmetric-group
-    # evaluator instead.
-    table_bound: int = 50_000
-    # Largest |G| for which the element-by-element subnormalizer set is
-    # computed.
-    subnormalizer_bound: int = 10_000
-    # Largest |G| for which subgroup chain lengths are computed.
-    chain_length_bound: int = 10_000
-
-
-DEFAULT_CONFIG = EngineConfig()
+# Largest |G| for which all elements may be materialised (classes,
+# brute-force sweeps, covering analysis).
+ENUM_BOUND = 100_000
+# Largest |G| for which a generic character table is computed; bigger
+# symmetric/wreath groups should go through the fast symmetric-group
+# evaluator instead.
+TABLE_BOUND = 50_000
+# Largest |G| for which the element-by-element subnormalizer set is
+# computed.
+SUBNORMALIZER_BOUND = 10_000
+# Largest |G| for which subgroup chain lengths are computed.
+CHAIN_LENGTH_BOUND = 10_000
+# Largest |G| for which Sylow data is computed: 10!, so S10 is accepted
+# (S10 at p = 2 takes ~23 s on a 2-vCPU x86-64 host; S11 at p = 2 did not
+# finish in 90 s).
+SYLOW_BOUND = 3_628_800

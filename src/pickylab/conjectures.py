@@ -32,7 +32,6 @@ from .chartab import (
     irr_nonvanishing_on,
     irr_pprime,
 )
-from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineDefect, ScaleExceeded
 from .exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, prime_factors
 from .permgroup import (
@@ -176,10 +175,10 @@ def _fresh(G: PermGroup) -> PermGroup:
     return PermGroup([Perm(g.images) for g in G.generators], G.degree)
 
 
-def _reverify_mismatch(G, H, x, p, variant, config) -> bool:
+def _reverify_mismatch(G, H, x, p, variant) -> bool:
     """Recompute both multisets from scratch and confirm they still differ."""
-    TG = _table_from_scratch(_fresh(G), config)
-    TH = _table_from_scratch(_fresh(H), config)
+    TG = _table_from_scratch(_fresh(G))
+    TH = _table_from_scratch(_fresh(H))
     sg = BijectionSignature.build(TG, x, p, variant)
     sh = BijectionSignature.build(TH, x, p, variant)
     return sg.multiset != sh.multiset
@@ -188,12 +187,12 @@ def _reverify_mismatch(G, H, x, p, variant, config) -> bool:
 # ----------------------------------------------------------------------
 # Theorem checks.
 
-def check_ito_michler(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_ito_michler(G, p, *, group_label="G"):
     """Normal abelian Sylow p-subgroup iff no degree divisible by p."""
     t0 = time.monotonic()
-    # The table first: its bound refuses before sylow_data (unbounded) builds G's chain.
-    degrees_p = cd_p(character_table(G, config), p)
-    data = sylow_data(G, p, config)
+    # The table first: its bound is below the Sylow bound, so it refuses first.
+    degrees_p = cd_p(character_table(G), p)
+    data = sylow_data(G, p)
     left = data.count == 1 and data.subgroup.is_abelian()
     right = degrees_p == (1,)
     status = HOLDS if left == right else FAILS
@@ -207,11 +206,11 @@ def check_ito_michler(G, p, *, group_label="G", config: EngineConfig = DEFAULT_C
     return _finish("ito_michler", group_label, p, status, witnesses, t0)
 
 
-def check_normality_via_qblocks(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_normality_via_qblocks(G, p, *, group_label="G"):
     """P normal iff p divides no degree in any principal q-block, q != p."""
     t0 = time.monotonic()
-    left = sylow_data(G, p, config).count == 1
-    T = character_table(G, config)
+    left = sylow_data(G, p).count == 1
+    T = character_table(G)
     right = True
     witness_q = None
     for q in prime_factors(G.order):
@@ -234,12 +233,12 @@ def check_normality_via_qblocks(G, p, *, group_label="G", config: EngineConfig =
     return _finish("normality_via_qblocks", group_label, p, status, witnesses, t0)
 
 
-def check_mckay(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_mckay(G, p, *, group_label="G"):
     """|Irr_{p'}(G)| = |Irr_{p'}(N_G(P))|."""
     t0 = time.monotonic()
-    data = sylow_data(G, p, config)
-    count_g = len(irr_pprime(character_table(G, config), p))
-    count_n = len(irr_pprime(character_table(data.normalizer, config), p))
+    data = sylow_data(G, p)
+    count_g = len(irr_pprime(character_table(G), p))
+    count_n = len(irr_pprime(character_table(data.normalizer), p))
     status = HOLDS if count_g == count_n else FAILS
     witnesses = {
         "count_G": count_g,
@@ -249,14 +248,14 @@ def check_mckay(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG)
     return _finish("mckay", group_label, p, status, witnesses, t0)
 
 
-def check_degree_conjectures(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_degree_conjectures(G, p, *, group_label="G"):
     """|cd(P)| <= |cd_p(G)| + 1, and the sharp b <= 2f bound; the
     asymptotic clauses are reported as data only."""
     t0 = time.monotonic()
-    P = sylow_data(G, p, config).subgroup
-    TP = character_table(P, config)
+    P = sylow_data(G, p).subgroup
+    TP = character_table(P)
     cd_P = cd(TP)
-    cd_pG = cd_p(character_table(G, config), p)
+    cd_pG = cd_p(character_table(G), p)
     b = p_adic_valuation(max(cd_P), p)
     f = p_adic_valuation(max(cd_pG), p)
     ok_count = len(cd_P) <= len(cd_pG) + 1
@@ -274,20 +273,20 @@ def check_degree_conjectures(G, p, *, group_label="G", config: EngineConfig = DE
     return _finish("degree_conjectures", group_label, p, status, witnesses, t0)
 
 
-def check_chain_conjecture(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_chain_conjecture(G, p, *, group_label="G"):
     """Chains between N_G(P) and G are no longer than the number of
     irreducible degrees divisible by p."""
     t0 = time.monotonic()
-    T = character_table(G, config)
+    T = character_table(G)
     n = sum(1 for d in T.degrees if d % p == 0)
-    data = sylow_data(G, p, config)
+    data = sylow_data(G, p)
     N = data.normalizer
     if N.same_group(G) and n == 0:
         return _finish(
             "chain_conjecture", group_label, p, HOLDS, {"chain_length": 0, "n": 0}, t0
         )
     try:
-        t = chain_length(G, N, config)
+        t = chain_length(G, N)
     except ScaleExceeded as exc:
         return _finish("chain_conjecture", group_label, p, SKIPPED, {"reason": str(exc)}, t0)
     status = HOLDS if t <= n else FAILS
@@ -295,7 +294,7 @@ def check_chain_conjecture(G, p, *, group_label="G", config: EngineConfig = DEFA
     return _finish("chain_conjecture", group_label, p, status, witnesses, t0)
 
 
-def check_height_conjectures(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_height_conjectures(G, p, *, group_label="G"):
     """Principal-block height statements: |cd(P)| <= |ht(B0)| + 1 and the
     equality min(cd(P) - {1}) = p^min(ht(B0) - {0}), with empty infima
     reading as infinity on both sides."""
@@ -309,11 +308,11 @@ def check_height_conjectures(G, p, *, group_label="G", config: EngineConfig = DE
             {"reason": "p does not divide |G|"},
             t0,
         )
-    T = character_table(G, config)
+    T = character_table(G)
     b0 = principal_block(block_partition(T, p))
     ht = b0.height_set
-    P = sylow_data(G, p, config).subgroup
-    cd_P = cd(character_table(P, config))
+    P = sylow_data(G, p).subgroup
+    cd_P = cd(character_table(P))
     ok_count = len(cd_P) <= len(ht) + 1
     nontrivial_cd = [d for d in cd_P if d > 1]
     nonzero_ht = [h for h in ht if h > 0]
@@ -333,14 +332,14 @@ def check_height_conjectures(G, p, *, group_label="G", config: EngineConfig = DE
     return _finish("height_conjectures", group_label, p, status, witnesses, t0)
 
 
-def check_vanishing_proposition(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_vanishing_proposition(G, p, *, group_label="G"):
     """Characters outside the maximal-defect blocks vanish at every picky
     element."""
     t0 = time.monotonic()
-    T = character_table(G, config)
+    T = character_table(G)
     bp = block_partition(T, p)
     small_defect_rows = [i for b in bp.blocks if b.defect < bp.a for i in b.indices]
-    picky = picky_class_representatives(G, p, config)
+    picky = picky_class_representatives(G, p)
     violations = []
     for x in picky:
         j = T.class_index(x)
@@ -360,21 +359,21 @@ def check_vanishing_proposition(G, p, *, group_label="G", config: EngineConfig =
     return _finish("vanishing_proposition", group_label, p, status, witnesses, t0)
 
 
-def check_alperin_c(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_alperin_c(G, p, *, group_label="G"):
     """For a TI Sylow p-subgroup: the number of characters not vanishing on
     P matches |Irr(N_G(P))|.  Both readings of "not vanishing on P" are
     computed: with the identity included the left side is all of Irr(G), so
     the literal count is tried first and the nonidentity reading second."""
     t0 = time.monotonic()
-    if not is_ti_sylow(G, p, config):
+    if not is_ti_sylow(G, p):
         return _finish(
             "alperin_c", group_label, p, SKIPPED, {"reason": "Sylow subgroup is not TI"}, t0
         )
-    data = sylow_data(G, p, config)
-    T = character_table(G, config)
+    data = sylow_data(G, p)
+    T = character_table(G)
     literal = len(irr_nonvanishing_on(T, data.subgroup))
     nonidentity = len(irr_nonvanishing_on(T, data.subgroup, nonidentity_only=True))
-    target = len(conjugacy_classes(data.normalizer, config))
+    target = len(conjugacy_classes(data.normalizer))
     witnesses = {
         "count_literal": literal,
         "count_nonidentity": nonidentity,
@@ -392,10 +391,10 @@ def check_alperin_c(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CON
     return _finish("alperin_c", group_label, p, status, witnesses, t0)
 
 
-def check_kb_principal(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_kb_principal(G, p, *, group_label="G"):
     """The principal block has at most |P| characters."""
     t0 = time.monotonic()
-    T = character_table(G, config)
+    T = character_table(G)
     bp = block_partition(T, p)
     b0 = principal_block(bp)
     bound = p ** bp.a
@@ -413,15 +412,13 @@ def check_kb_principal(G, p, *, group_label="G", config: EngineConfig = DEFAULT_
 # ----------------------------------------------------------------------
 # Bijection checks.
 
-def check_picky_conjecture(
-    G, p, variant: str = "plain", *, group_label="G", config: EngineConfig = DEFAULT_CONFIG
-):
+def check_picky_conjecture(G, p, variant: str = "plain", *, group_label="G"):
     """For every picky class representative x, the signature multisets of
     Irr^x(G) and Irr^x(N_G(P)) coincide (P the unique Sylow containing x)."""
     t0 = time.monotonic()
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    picky = picky_class_representatives(G, p, config)
+    picky = picky_class_representatives(G, p)
     if not picky:
         # Vacuous instance: no picky elements, nothing to compare.
         return _finish(
@@ -432,12 +429,12 @@ def check_picky_conjecture(
             {"variant": variant, "picky_classes": [], "vacuous": True},
             t0,
         )
-    T = character_table(G, config)
+    T = character_table(G)
     per_class = []
     all_hold = True
     for x in picky:
-        _, N = sylow_containing(G, p, x, config)
-        TN = character_table(N, config)
+        _, N = sylow_containing(G, p, x)
+        TN = character_table(N)
         comp = _signature_comparison(T, TN, x, p)
         entry = {
             "element": x.cycle_string(),
@@ -446,49 +443,47 @@ def check_picky_conjecture(
         }
         if not comp[variant]["equal"]:
             all_hold = False
-            entry["witness_reverified"] = _reverify_mismatch(G, N, x, p, variant, config)
+            entry["witness_reverified"] = _reverify_mismatch(G, N, x, p, variant)
         per_class.append(entry)
     status = HOLDS if all_hold else FAILS
     witnesses = {"variant": variant, "picky_classes": per_class}
     return _finish("picky_conjecture", group_label, p, status, witnesses, t0)
 
 
-def check_subnormalizer_conjecture(
-    G, p, variant: str = "plain", *, group_label="G", config: EngineConfig = DEFAULT_CONFIG
-):
+def check_subnormalizer_conjecture(G, p, variant: str = "plain", *, group_label="G"):
     """For every nonidentity p-element class representative x, the signature
     multisets of Irr^x(G) and Irr^x(Sub_G(x)) coincide.  Picky classes must
     reproduce the picky comparison exactly (Sub_G(x) = N_G(P))."""
     t0 = time.monotonic()
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    reps = p_element_class_representatives(G, p, config=config)
-    T = character_table(G, config)
+    reps = p_element_class_representatives(G, p)
+    T = character_table(G)
     per_class = []
     all_hold = True
     any_skipped = False
     for x in reps:
         entry = {"element": x.cycle_string()}
         try:
-            sub = subnormalizer_subgroup(G, x, config)
+            sub = subnormalizer_subgroup(G, x)
         except ScaleExceeded as exc:
             entry["skipped"] = str(exc)
             any_skipped = True
             per_class.append(entry)
             continue
-        picky = sylow_count_containing(G, p, x, config) == 1
+        picky = sylow_count_containing(G, p, x) == 1
         if picky:
-            _, N = sylow_containing(G, p, x, config)
+            _, N = sylow_containing(G, p, x)
             if not sub.same_group(N):
                 raise EngineDefect("picky element with Sub_G(x) != N_G(P)")
-        Tsub = character_table(sub, config)
+        Tsub = character_table(sub)
         comp = _signature_comparison(T, Tsub, x, p)
         entry["subnormalizer_order"] = sub.order
         entry["picky"] = picky
         entry["comparison"] = _comparison_json(comp)
         if not comp[variant]["equal"]:
             all_hold = False
-            entry["witness_reverified"] = _reverify_mismatch(G, sub, x, p, variant, config)
+            entry["witness_reverified"] = _reverify_mismatch(G, sub, x, p, variant)
         per_class.append(entry)
     if not all_hold:
         status = FAILS
@@ -500,17 +495,17 @@ def check_subnormalizer_conjecture(
     return _finish("subnormalizer_conjecture", group_label, p, status, witnesses, t0)
 
 
-def check_fusion_lemma(G, p, *, group_label="G", config: EngineConfig = DEFAULT_CONFIG):
+def check_fusion_lemma(G, p, *, group_label="G"):
     """Elements of Sub_G(x) that are G-conjugate to x are already
     Sub_G(x)-conjugate to x."""
     t0 = time.monotonic()
-    reps = p_element_class_representatives(G, p, config=config)
+    reps = p_element_class_representatives(G, p)
     checked = []
     violations = []
     any_skipped = False
     for x in reps:
         try:
-            sub = subnormalizer_subgroup(G, x, config)
+            sub = subnormalizer_subgroup(G, x)
         except ScaleExceeded as exc:
             any_skipped = True
             checked.append({"element": x.cycle_string(), "skipped": str(exc)})
@@ -575,23 +570,16 @@ def run_check(
     *,
     group_label="G",
     variant: str = "plain",
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> CheckReport:
     fn = CHECKS.get(name)
     if fn is None:
         raise ValueError(f"unknown check {name!r}")
     if name in ("picky_conjecture", "subnormalizer_conjecture"):
-        return fn(G, p, variant, group_label=group_label, config=config)
-    return fn(G, p, group_label=group_label, config=config)
+        return fn(G, p, variant, group_label=group_label)
+    return fn(G, p, group_label=group_label)
 
 
-def run_all_checks(
-    G: PermGroup,
-    p: int,
-    *,
-    group_label="G",
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> list[CheckReport]:
+def run_all_checks(G: PermGroup, p: int, *, group_label="G") -> list[CheckReport]:
     """Every applicable check for one (group, prime): the picky comparison
     in all three variants, everything else once.  The TI-only check is
     included only when its precondition is met, so "all" means "all
@@ -601,13 +589,13 @@ def run_all_checks(
     for name in CHECKS:
         if name == "picky_conjecture":
             for variant in VARIANTS:
-                reports.append(run_check(name, G, p, group_label=group_label, variant=variant, config=config))
+                reports.append(run_check(name, G, p, group_label=group_label, variant=variant))
         elif name == "subnormalizer_conjecture":
-            reports.append(run_check(name, G, p, group_label=group_label, variant="plain", config=config))
-        elif name == "alperin_c" and not is_ti_sylow(G, p, config):
+            reports.append(run_check(name, G, p, group_label=group_label, variant="plain"))
+        elif name == "alperin_c" and not is_ti_sylow(G, p):
             continue
         else:
-            reports.append(run_check(name, G, p, group_label=group_label, config=config))
+            reports.append(run_check(name, G, p, group_label=group_label))
     # A picky bijection preserving degree p-parts forces the McKay count.
     picky_plain = next(
         r

@@ -19,7 +19,7 @@ class ParseError(PickylabError, ValueError):
 
 
 class ScaleExceeded(PickylabError, RuntimeError):
-    """The input is larger than the configured bound for this operation."""
+    """The input is larger than the scale bound for this operation."""
 
 
 class EngineDefect(PickylabError, AssertionError):

@@ -441,12 +441,6 @@ class PPart:
     prime: int
     exponent: Fraction
 
-    def as_int(self) -> int:
-        """Integer value; only valid for integer exponents."""
-        if self.exponent.denominator != 1:
-            raise InvalidArgument("fractional p-part has no integer value")
-        return self.prime ** int(self.exponent)
-
 
 def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
     """Fingerprint of Q(alpha) at modulus m; requires alpha in Q(zeta_m)."""
@@ -506,10 +500,3 @@ def algebraic_p_part(alpha: Cyclotomic, p: int) -> PPart:
     if nval.denominator != 1 or nval == 0:
         raise EngineDefect("field norm of an algebraic integer must be a nonzero rational integer")
     return PPart(p, Fraction(p_adic_valuation(int(nval), p), degree))
-
-
-def int_p_part(n: int, p: int) -> PPart:
-    """p-part of a positive rational integer."""
-    if n < 1:
-        raise InvalidArgument("argument must be a positive integer")
-    return PPart(p, Fraction(p_adic_valuation(n, p)))

@@ -26,7 +26,7 @@ from functools import cache
 from math import lcm
 from operator import itemgetter
 
-from .config import DEFAULT_CONFIG, EngineConfig
+from .config import ENUM_BOUND, SYLOW_BOUND
 from .errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from .exactnum import is_prime, p_adic_valuation
 
@@ -400,10 +400,10 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def elements(self, config: EngineConfig = DEFAULT_CONFIG) -> tuple[Perm, ...]:
+    def elements(self) -> tuple[Perm, ...]:
         """All elements, sorted lexicographically by image tuple."""
         if self._elements is None:
-            check_order_bound(self, config.enum_bound, "enumeration")
+            check_order_bound(self, ENUM_BOUND, "enumeration")
             elems = sorted(self.chain.iter_elements())
             self._elements = tuple(Perm(t) for t in elems)
         return self._elements
@@ -425,9 +425,9 @@ class PermGroup:
     def conjugate_subgroup(self, g: Perm) -> "PermGroup":
         return PermGroup([h.conj(g) for h in self.generators], self.degree)
 
-    def element_fingerprint(self, config: EngineConfig = DEFAULT_CONFIG) -> frozenset:
+    def element_fingerprint(self) -> frozenset:
         """Canonical identity of the subgroup: the frozen set of image tuples."""
-        return frozenset(p.images for p in self.elements(config))
+        return frozenset(p.images for p in self.elements())
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -547,11 +547,11 @@ class ConjugacyClass:
     element_order: int
 
 
-def conjugacy_classes(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> list[ConjugacyClass]:
+def conjugacy_classes(G: PermGroup) -> list[ConjugacyClass]:
     """Classes sorted by (element order, size, representative); every
     representative is the lexicographically smallest member of its class."""
     if G._classes is None:
-        elems = G.elements(config)
+        elems = G.elements()
         gens = [g.images for g in G.generators]
         seen: set[tuple[int, ...]] = set()
         raw = []
@@ -574,16 +574,16 @@ def conjugacy_classes(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> li
     return G._classes
 
 
-def class_index_of(G: PermGroup, x: Perm, config: EngineConfig = DEFAULT_CONFIG) -> int:
+def class_index_of(G: PermGroup, x: Perm) -> int:
     """Index of the conjugacy class of x in conjugacy_classes(G)."""
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
-    conjugacy_classes(G, config)
+    conjugacy_classes(G)
     return G._class_of[x.images]
 
 
-def exponent(G: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> int:
-    return lcm(*(c.element_order for c in conjugacy_classes(G, config)))
+def exponent(G: PermGroup) -> int:
+    return lcm(*(c.element_order for c in conjugacy_classes(G)))
 
 
 # ----------------------------------------------------------------------
@@ -596,14 +596,14 @@ def centralizer(G: PermGroup, x: Perm) -> PermGroup:
     return _orbit_stabilizer(G, x.images, _conj)[1]
 
 
-def normalizer(G: PermGroup, H: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> PermGroup:
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) via the conjugation orbit of H (as an element set) with
     Schreier generators for the stabilizer."""
     if not H.is_subgroup_of(G):
         raise InvalidArgument("H is not a subgroup of G")
     if H.is_trivial() or H.same_group(G):
         return G
-    return _orbit_stabilizer(G, H.element_fingerprint(config), _conj_set, H.generators)[1]
+    return _orbit_stabilizer(G, H.element_fingerprint(), _conj_set, H.generators)[1]
 
 
 def normal_closure_chain(
@@ -709,21 +709,17 @@ def _p_power_part(x: Perm, p: int) -> Perm:
     return x ** mp
 
 
-def sylow_subgroup(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> PermGroup:
-    """A Sylow p-subgroup, grown through normalizers of p-subgroups."""
-    return sylow_data(G, p, config).subgroup
-
-
-def sylow_data(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> SylowData:
+def sylow_data(G: PermGroup, p: int) -> SylowData:
     key = ("sylow", p)
     if key in G._cache:
         return G._cache[key]
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not a prime")
+    check_order_bound(G, SYLOW_BOUND, "sylow")
     target = p ** p_adic_valuation(G.order, p)
     Q = PermGroup([], G.degree)
     while Q.order < target:
-        N = G if Q.is_trivial() else normalizer(G, Q, config)
+        N = G if Q.is_trivial() else normalizer(G, Q)
         for cand in N.chain.iter_elements():
             x = Perm(cand)
             if x.is_identity():
@@ -739,7 +735,7 @@ def sylow_data(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> S
     if Q.is_trivial():
         data = SylowData(p, Q, (Perm.identity(G.degree),), G)
     else:
-        start = Q.element_fingerprint(config)
+        start = Q.element_fingerprint()
         transversal, N = _orbit_stabilizer(G, start, _conj_set, Q.generators)
         data = SylowData(p, Q, tuple(Perm(t) for t in transversal.values()), N)
     if data.count % p != 1:
@@ -755,72 +751,50 @@ def is_p_element(x: Perm, p: int) -> bool:
     return m == 1
 
 
-def sylow_count_containing(
-    G: PermGroup, p: int, x: Perm, config: EngineConfig = DEFAULT_CONFIG
-) -> int:
-    """Number of Sylow p-subgroups containing the p-element x.  Cached per
-    (p, x)."""
-    if not is_p_element(x, p):
-        raise InvalidArgument("element order is not a power of p")
-    if x not in G:
-        raise InvalidArgument("element does not belong to the group")
-    key = ("sylow_count", p, x.images)
-    if key in G._cache:
-        return G._cache[key]
-    data = sylow_data(G, p, config)
-    P = data.subgroup
-    count = 0
-    for g in data.transversal:
-        # x in P^g  iff  x^(g^-1) in P
-        if Perm(_conj(x.images, _inv(g.images))) in P:
-            count += 1
-    G._cache[key] = count
-    return count
-
-
-def sylow_containing(
-    G: PermGroup, p: int, x: Perm, config: EngineConfig = DEFAULT_CONFIG
-) -> tuple[PermGroup, PermGroup]:
-    """A Sylow p-subgroup containing x (the first in transversal order)
-    together with its normalizer.  Cached per (p, x)."""
+def _sylow_containment(G: PermGroup, p: int, x: Perm) -> tuple[int, tuple[PermGroup, PermGroup]]:
+    """One scan of the Sylow transversal for the p-element x: the number of
+    g with x in P^g, and P^g for the first such g with its normalizer.
+    Cached per (p, x)."""
     if not is_p_element(x, p):
         raise InvalidArgument("element order is not a power of p")
     key = ("sylow_containing", p, x.images)
-    if key in G._cache:
-        return G._cache[key]
-    data = sylow_data(G, p, config)
-    P = data.subgroup
-    result = None
-    for g in data.transversal:
-        if Perm(_conj(x.images, _inv(g.images))) in P:
-            if g.is_identity():
-                result = (P, data.normalizer)
-            else:
-                result = (P.conjugate_subgroup(g), data.normalizer.conjugate_subgroup(g))
-            break
-    if result is None:  # pragma: no cover - Sylow covering guarantees a hit
-        raise EngineDefect("p-element lies in no Sylow p-subgroup")
-    G._cache[key] = result
-    return result
+    if key not in G._cache:
+        data = sylow_data(G, p)  # its bound first: x in G builds G's whole chain
+        if x not in G:
+            raise InvalidArgument("element does not belong to the group")
+        P, N = data.subgroup, data.normalizer
+        # x in P^g  iff  x^(g^-1) in P
+        found = [g for g in data.transversal if Perm(_conj(x.images, _inv(g.images))) in P]
+        if not found:  # pragma: no cover - Sylow covering guarantees a hit
+            raise EngineDefect("p-element lies in no Sylow p-subgroup")
+        g = found[0]
+        if not g.is_identity():
+            P, N = P.conjugate_subgroup(g), N.conjugate_subgroup(g)
+        G._cache[key] = (len(found), (P, N))
+    return G._cache[key]
 
 
-def p_elements(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG):
-    """Every element of p-power order, identity included, each exactly once."""
-    for x in G.elements(config):
-        if is_p_element(x, p):
-            yield x
+def sylow_count_containing(G: PermGroup, p: int, x: Perm) -> int:
+    """Number of Sylow p-subgroups containing the p-element x."""
+    return _sylow_containment(G, p, x)[0]
 
 
-def is_ti_sylow(G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG) -> bool:
+def sylow_containing(G: PermGroup, p: int, x: Perm) -> tuple[PermGroup, PermGroup]:
+    """A Sylow p-subgroup containing the p-element x (the first in
+    transversal order) together with its normalizer."""
+    return _sylow_containment(G, p, x)[1]
+
+
+def is_ti_sylow(G: PermGroup, p: int) -> bool:
     """Whether distinct Sylow p-subgroups intersect trivially.
 
     Cross-checked against the equivalent statement that every nontrivial
     element of P lies in a unique Sylow p-subgroup."""
-    data = sylow_data(G, p, config)
+    data = sylow_data(G, p)
     P = data.subgroup
     if P.is_trivial():
         return True
-    p_elems = [x for x in P.elements(config) if not x.is_identity()]
+    p_elems = [x for x in P.elements() if not x.is_identity()]
     containment_counts = {x.images: 0 for x in p_elems}
     ti = True
     for g in data.transversal:

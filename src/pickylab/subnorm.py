@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .config import DEFAULT_CONFIG, EngineConfig
+from .config import CHAIN_LENGTH_BOUND, SUBNORMALIZER_BOUND
 from .errors import EngineDefect, InvalidArgument
 from .exactnum import p_adic_valuation, prime_factors
 from .permgroup import (
@@ -133,9 +133,7 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
     return _is_subnormal_tuples([xt], x_order, [xt, gt], len(xt), group_order)
 
 
-def subnormalizer_set(
-    G: PermGroup, x: Perm, config: EngineConfig = DEFAULT_CONFIG
-) -> list[Perm]:
+def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:
     """S_G(<x>) = { g : <x> subnormal in <x, g> }, as a sorted list.
 
     The verdict is constant on each orbit of G under t -> x t, t -> t x,
@@ -144,20 +142,20 @@ def subnormalizer_set(
     orbit suffices; every element is still reported.  The set is computed
     once per (G, x) and cached on G; each call returns a new list.
     """
-    check_order_bound(G, config.subnormalizer_bound, "subnormalizer")
+    check_order_bound(G, SUBNORMALIZER_BOUND, "subnormalizer")
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
     key = ("subnormalizer_set", x.images)
     if key not in G._cache:
-        G._cache[key] = tuple(_scan_subnormalizer(G, x, config))
+        G._cache[key] = tuple(_scan_subnormalizer(G, x))
     return list(G._cache[key])
 
 
-def _scan_subnormalizer(G: PermGroup, x: Perm, config: EngineConfig) -> list[Perm]:
+def _scan_subnormalizer(G: PermGroup, x: Perm) -> list[Perm]:
     xt = x.images
     x_order = x.order()
     powers = frozenset((x**k).images for k in range(x_order))
-    N = normalizer(G, group_generated_by([x], G.degree), config)
+    N = normalizer(G, group_generated_by([x], G.degree))
     # Powers of x are left out: left and right multiplication already
     # cover conjugation by them.
     maps = [lambda t: _mul(xt, t), _inv] + [
@@ -165,7 +163,7 @@ def _scan_subnormalizer(G: PermGroup, x: Perm, config: EngineConfig) -> list[Per
     ]
     members: list[Perm] = []
     decided: dict[tuple, bool] = {}
-    for g in G.elements(config):
+    for g in G.elements():
         verdict = decided.get(g.images)
         if verdict is None:
             verdict = _subnormal_in_generated(x, powers, x_order, g, G.order)
@@ -179,22 +177,20 @@ def _apply(t, f):
     return f(t)
 
 
-def subnormalizer_subgroup(
-    G: PermGroup, x: Perm, config: EngineConfig = DEFAULT_CONFIG
-) -> PermGroup:
+def subnormalizer_subgroup(G: PermGroup, x: Perm) -> PermGroup:
     """Sub_G(x) = <S_G(<x>)>.  For p-elements the containment
     N_G(P) <= Sub_G(x) is asserted."""
     key = ("subnormalizer", x.images)
     if key in G._cache:
         return G._cache[key]
-    sset = subnormalizer_set(G, x, config)
+    sset = subnormalizer_set(G, x)
     sub = group_generated_by(sset, G.degree)
     order = x.order()
     if order > 1:
         primes = prime_factors(order)
         if len(primes) == 1:
             (p,) = primes
-            _, N = sylow_containing(G, p, x, config)
+            _, N = sylow_containing(G, p, x)
             if not N.is_subgroup_of(sub):
                 raise EngineDefect("N_G(P) is not contained in the subnormalizer subgroup")
     G._cache[key] = sub
@@ -224,16 +220,14 @@ class PickyReport:
         }
 
 
-def picky_report(
-    G: PermGroup, p: int, x: Perm, config: EngineConfig = DEFAULT_CONFIG
-) -> PickyReport:
+def picky_report(G: PermGroup, p: int, x: Perm) -> PickyReport:
     """Full picky diagnostics for a p-element, cross-validating that
     x is picky exactly when Sub_G(x) = N_G(P)."""
     if not is_p_element(x, p):
         raise InvalidArgument("element order is not a power of p")
-    count = sylow_count_containing(G, p, x, config)
-    _, N = sylow_containing(G, p, x, config)
-    sub = subnormalizer_subgroup(G, x, config)
+    count = sylow_count_containing(G, p, x)
+    _, N = sylow_containing(G, p, x)
+    sub = subnormalizer_subgroup(G, x)
     picky = count == 1
     if not N.is_subgroup_of(sub):
         raise EngineDefect("N_G(P) is not contained in Sub_G(x)")
@@ -245,11 +239,11 @@ def picky_report(
 
 
 def p_element_class_representatives(
-    G: PermGroup, p: int, include_identity: bool = False, config: EngineConfig = DEFAULT_CONFIG
+    G: PermGroup, p: int, include_identity: bool = False
 ) -> list[Perm]:
     """Class representatives of p-power order (identity optional)."""
     reps = []
-    for c in conjugacy_classes(G, config):
+    for c in conjugacy_classes(G):
         x = c.representative
         if x.is_identity():
             if include_identity:
@@ -260,15 +254,13 @@ def p_element_class_representatives(
     return reps
 
 
-def picky_class_representatives(
-    G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG
-) -> list[Perm]:
+def picky_class_representatives(G: PermGroup, p: int) -> list[Perm]:
     """Nonidentity p-element class representatives lying in a unique Sylow
     p-subgroup.  Cheap: no subnormalizer computation involved."""
     return [
         x
-        for x in p_element_class_representatives(G, p, config=config)
-        if sylow_count_containing(G, p, x, config) == 1
+        for x in p_element_class_representatives(G, p)
+        if sylow_count_containing(G, p, x) == 1
     ]
 
 
@@ -278,17 +270,15 @@ class CoveringAnalysis:
     picky_exists: bool
 
 
-def covering_analysis(
-    G: PermGroup, p: int, config: EngineConfig = DEFAULT_CONFIG
-) -> CoveringAnalysis:
+def covering_analysis(G: PermGroup, p: int) -> CoveringAnalysis:
     """Do all Sylow p-subgroups participate in covering the p-elements, and
     does a picky element exist?  The two answers must agree."""
-    data = sylow_data(G, p, config)
+    data = sylow_data(G, p)
     P = data.subgroup
     sylow_sets = []
     for g in data.transversal:
         gt = g.images
-        sylow_sets.append(frozenset(_conj(t.images, gt) for t in P.elements(config)))
+        sylow_sets.append(frozenset(_conj(t.images, gt) for t in P.elements()))
     all_needed = True
     for i, Q in enumerate(sylow_sets):
         # Q is needed iff some element of Q lies in no other Sylow subgroup.
@@ -299,8 +289,8 @@ def covering_analysis(
             all_needed = False
             break
     picky_exists = False
-    for x in p_element_class_representatives(G, p, include_identity=True, config=config):
-        report = picky_report(G, p, x, config)
+    for x in p_element_class_representatives(G, p, include_identity=True):
+        report = picky_report(G, p, x)
         if report.is_picky:
             picky_exists = True
             break
@@ -312,7 +302,7 @@ def covering_analysis(
 # ----------------------------------------------------------------------
 # Longest subgroup chains.
 
-def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONFIG) -> int:
+def chain_length(G: PermGroup, N: PermGroup) -> int:
     """Maximal length t of a strictly increasing subgroup chain
     N = H_0 < H_1 < ... < H_t = G.
 
@@ -332,10 +322,10 @@ def chain_length(G: PermGroup, N: PermGroup, config: EngineConfig = DEFAULT_CONF
     are told apart by order plus containment (``find_same_subgroup``); only
     the subgroup whose cosets are being scanned is enumerated.
     """
-    check_order_bound(G, config.chain_length_bound, "chain-length")
+    check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
-    g_elements = G.elements(config)
+    g_elements = G.elements()
     memo: dict[int, list[tuple[PermGroup, int]]] = {}  # order -> (K, longest(K))
 
     def longest(H: PermGroup) -> int:

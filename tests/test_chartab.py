@@ -20,7 +20,6 @@ from pickylab.chartab import (
     irr_pprime,
 )
 from pickylab.cli import load_catalog
-from pickylab.config import DEFAULT_CONFIG, EngineConfig
 from pickylab.errors import InvalidArgument, ScaleExceeded
 from pickylab.exactnum import Cyclotomic
 from pickylab.permgroup import (
@@ -30,7 +29,6 @@ from pickylab.permgroup import (
     derived_series,
     exponent,
     named_group,
-    p_elements,
     parse_perm,
     sylow_data,
 )
@@ -64,8 +62,11 @@ class TestSmallTables:
         assert a == b
 
     def test_scale_bound(self):
-        with pytest.raises(ScaleExceeded):
-            character_table(named_group("S:5"), EngineConfig(table_bound=100))
+        # S9 (order 362880) is refused from a chain stopped past the bound.
+        G = named_group("S:9")
+        with pytest.raises(ScaleExceeded, match="table bound 50000"):
+            character_table(G)
+        assert G._chain is None
 
 
 def _element_set(G):
@@ -80,9 +81,9 @@ def build_log(monkeypatch):
     log = []
     original = chartab._build_table
 
-    def counting_build(G, config):
+    def counting_build(G):
         log.append(_element_set(G))
-        return original(G, config)
+        return original(G)
 
     monkeypatch.setattr(chartab, "_build_table", counting_build)
     return log
@@ -107,7 +108,7 @@ class TestSharedTables:
         assert TP is not TQ
         assert build_log == [_element_set(P), _element_set(Q)]
         for H, T in ((P, TP), (Q, TQ)):
-            fresh = _table_from_scratch(PermGroup(list(H.generators), H.degree), DEFAULT_CONFIG)
+            fresh = _table_from_scratch(PermGroup(list(H.generators), H.degree))
             assert fresh.to_json_dict() == T.to_json_dict()
 
     def test_tables_are_held_weakly(self, build_log):
@@ -118,13 +119,6 @@ class TestSharedTables:
         del G
         gc.collect()
         assert not chartab._shared_tables.get(key)
-
-    def test_scale_bound_is_checked_before_sharing(self, build_log):
-        S5 = named_group("S:5")
-        character_table(S5)
-        same = S5.conjugate_subgroup(parse_perm("(1,2)", 5))
-        with pytest.raises(ScaleExceeded):
-            character_table(same, EngineConfig(table_bound=100))
 
     def test_threads_share_one_build(self, build_log):
         S4 = named_group("S:4")
@@ -155,9 +149,9 @@ class TestSharedTables:
         requested = []
         original = conjectures.character_table
 
-        def recording(G, config=DEFAULT_CONFIG):
+        def recording(G):
             requested.append(_element_set(G))
-            return original(G, config)
+            return original(G)
 
         monkeypatch.setattr(conjectures, "character_table", recording)
         entry = next(e for e in load_catalog("small") if e.label == label)
@@ -422,12 +416,12 @@ def _oracle_table(G, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(chartab, "_split_common_eigenspaces", split_all)
-        return chartab._build_table(G, DEFAULT_CONFIG)
+        return chartab._build_table(G)
 
 
 def _assert_same_build(G, monkeypatch, label=None):
     oracle = _oracle_table(G, monkeypatch)
-    assert chartab._build_table(G, DEFAULT_CONFIG).to_json_dict() == oracle.to_json_dict(), label
+    assert chartab._build_table(G).to_json_dict() == oracle.to_json_dict(), label
 
 
 class TestClassMatrices:
@@ -463,5 +457,5 @@ class TestClassMatrices:
             return original(G, classes, i, q)
 
         monkeypatch.setattr(chartab, "_class_matrix", counting)
-        chartab._build_table(named_group(name), DEFAULT_CONFIG)
+        chartab._build_table(named_group(name))
         assert len(calls) == used

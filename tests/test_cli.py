@@ -92,9 +92,9 @@ class TestStructureCommands:
         scans = []
         scan = subnorm._scan_subnormalizer
 
-        def counting(G, x, config):
+        def counting(G, x):
             scans.append(x.cycle_string())
-            return scan(G, x, config)
+            return scan(G, x)
 
         monkeypatch.setattr(subnorm, "_scan_subnormalizer", counting)
         code, out, _ = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2,3,4)")
@@ -158,12 +158,19 @@ class TestErrors:
 
     def test_check_all_on_too_large_group_refused_fast(self, capsys):
         # ito_michler, the first check, asks for the table before sylow_data,
-        # which has no bound and would build S150's full chain.
+        # whose bound (10!) lies far above the table bound.
         start = time.perf_counter()
         code, out, err = invoke(capsys, "check", "all", "S:150", "-p", "2")
         assert time.perf_counter() - start < 1
         assert code == EXIT_ERROR and out == ""
         assert "table bound 50000" in err
+
+    def test_sylow_on_too_large_group_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "sylow", "S:150", "-p", "2")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "sylow bound 3628800" in err
 
 
 class TestCatalog:

@@ -279,17 +279,14 @@ class TestHarness:
         assert "runtime_ms" in r.to_json_dict(include_timing=True)
 
     def test_reverify_helper_confirms_real_mismatches(self):
-        from pickylab.config import DEFAULT_CONFIG
-
         # two genuinely different character tables at a shared element
         S4 = named_group("S:4")
         C4 = named_group("C:4")
         x = parse_perm("(1,2,3,4)", 4)
-        assert _reverify_mismatch(S4, C4, x, 2, "plain", DEFAULT_CONFIG)
+        assert _reverify_mismatch(S4, C4, x, 2, "plain")
 
     def test_reverification_rebuilds_both_tables(self, monkeypatch):
         from pickylab import chartab
-        from pickylab.config import DEFAULT_CONFIG
 
         S4 = named_group("S:4")
         C4 = named_group("C:4")
@@ -298,11 +295,11 @@ class TestHarness:
         built = []
         original = chartab._build_table
 
-        def counting_build(G, config):
+        def counting_build(G):
             built.append(G.order)
-            return original(G, config)
+            return original(G)
 
         monkeypatch.setattr(chartab, "_build_table", counting_build)
         x = parse_perm("(1,2,3,4)", 4)
-        assert _reverify_mismatch(S4, C4, x, 2, "plain", DEFAULT_CONFIG)
+        assert _reverify_mismatch(S4, C4, x, 2, "plain")
         assert built == [24, 4]

@@ -18,7 +18,7 @@ from pickylab.permgroup import (  # noqa: E402
     conjugacy_classes,
     derived_series,
     normal_closure,
-    sylow_subgroup,
+    sylow_data,
 )
 
 
@@ -34,7 +34,7 @@ def _compare(G: PermGroup, elements):
     assert len(conjugacy_classes(G)) == len(S.conjugacy_classes())
     assert [H.order for H in derived_series(G)] == [H.order() for H in S.derived_series()]
     for p in prime_factors(G.order):
-        assert sylow_subgroup(G, p).order == S.sylow_subgroup(p).order()
+        assert sylow_data(G, p).subgroup.order == S.sylow_subgroup(p).order()
     for x in elements:
         sx = sympy_comb.Permutation(list(x.images))
         assert centralizer(G, x).order == S.centralizer(sx).order()

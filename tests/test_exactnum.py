@@ -14,7 +14,6 @@ from pickylab.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     field_fingerprint,
-    int_p_part,
     is_prime,
     p_adic_valuation,
     prime_factors,
@@ -195,11 +194,3 @@ class TestAlgebraicPPart:
                 for p in (2, 5):
                     e = algebraic_p_part(prod, p).exponent
                     assert e == algebraic_p_part(a, p).exponent + algebraic_p_part(b, p).exponent
-
-    def test_int_p_part(self):
-        assert int_p_part(24, 2).exponent == 3
-        assert int_p_part(24, 3).exponent == 1
-        assert int_p_part(7, 2).exponent == 0
-        assert int_p_part(24, 2).as_int() == 8
-        with pytest.raises(InvalidArgument):
-            int_p_part(0, 2)

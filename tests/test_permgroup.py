@@ -25,16 +25,16 @@ from pickylab.permgroup import (
     derived_length,
     derived_series,
     extended_group,
+    is_p_element,
     is_ti_sylow,
     named_group,
     normal_closure,
     normalizer,
-    p_elements,
     parse_generator_text,
     parse_perm,
+    sylow_containing,
     sylow_count_containing,
     sylow_data,
-    sylow_subgroup,
 )
 
 
@@ -354,9 +354,18 @@ class TestCentralizerNormalizer:
 
 class TestSylow:
     def test_orders(self):
-        assert sylow_subgroup(named_group("S:4"), 2).order == 8
-        assert sylow_subgroup(named_group("S:3"), 3).order == 3
-        assert sylow_subgroup(named_group("S:3"), 5).order == 1
+        assert sylow_data(named_group("S:4"), 2).subgroup.order == 8
+        assert sylow_data(named_group("S:3"), 3).subgroup.order == 3
+        assert sylow_data(named_group("S:3"), 5).subgroup.order == 1
+
+    def test_large_group_refused_without_its_chain(self):
+        G = named_group("S:150")
+        with pytest.raises(ScaleExceeded, match="sylow bound 3628800"):
+            sylow_data(G, 2)
+        # The bound comes before the membership test, which would build the chain.
+        with pytest.raises(ScaleExceeded, match="sylow bound 3628800"):
+            sylow_count_containing(G, 2, parse_perm("(1,2)", 150))
+        assert G._chain is None
 
     def test_s4_p2_generators_and_transversal(self):
         # pickylab sylow prints P's generators (the subgroup's, not the
@@ -402,19 +411,26 @@ class TestSylow:
         with pytest.raises(InvalidArgument):
             sylow_count_containing(S4, 2, parse_perm("(1,2,3)", 4))
 
+    def test_element_outside_group_is_an_argument_error(self):
+        # (1,2) is a 2-element of Sym(4) outside A4.
+        A4 = named_group("A:4")
+        x = parse_perm("(1,2)", 4)
+        with pytest.raises(InvalidArgument, match="does not belong"):
+            sylow_containing(A4, 2, x)
+        with pytest.raises(InvalidArgument, match="does not belong"):
+            sylow_count_containing(A4, 2, x)
+
     def test_p_elements(self):
         S3 = named_group("S:3")
-        twos = sorted(x.cycle_string() for x in p_elements(S3, 2))
-        assert twos == ["()", "(1,2)", "(1,3)", "(2,3)"]
-        threes = sorted(x.cycle_string() for x in p_elements(S3, 3))
-        assert threes == ["()", "(1,2,3)", "(1,3,2)"]
-        assert [x.cycle_string() for x in p_elements(PermGroup([], 2), 3)] == ["()"]
-        # each p-element exactly once, and Sylow covering
+        twos = [x.cycle_string() for x in S3.elements() if is_p_element(x, 2)]
+        assert sorted(twos) == ["()", "(1,2)", "(1,3)", "(2,3)"]
+        threes = [x.cycle_string() for x in S3.elements() if is_p_element(x, 3)]
+        assert sorted(threes) == ["()", "(1,2,3)", "(1,3,2)"]
+        # Sylow covering: every p-element lies in a Sylow p-subgroup.
         S4 = named_group("S:4")
-        elems = list(p_elements(S4, 2))
-        assert len(elems) == len({e.images for e in elems})
-        for x in elems:
-            assert sylow_count_containing(S4, 2, x) >= 1
+        for x in S4.elements():
+            if is_p_element(x, 2):
+                assert sylow_count_containing(S4, 2, x) >= 1
 
     def test_is_ti(self):
         assert is_ti_sylow(named_group("S:3"), 3)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from pickylab.blocks import block_partition
 from pickylab.chartab import _build_table
 from pickylab.cli import load_catalog
-from pickylab.config import DEFAULT_CONFIG
 from pickylab.permgroup import Perm, conjugacy_classes, sylow_data
 from pickylab.subnorm import chain_length, p_element_class_representatives, subnormalizer_subgroup
 
@@ -57,7 +56,7 @@ def invariants(G, primes):
         )
     # The build is the part of the table layer that sees the labelling; the
     # verification after it reads only values (C12's takes 0.15 s of 0.17).
-    return G.order, classes, per_prime, table_invariants(_build_table(G, DEFAULT_CONFIG), primes)
+    return G.order, classes, per_prime, table_invariants(_build_table(G), primes)
 
 
 @cache

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from pickylab import permgroup, subnorm
 from pickylab.cli import load_catalog
-from pickylab.config import EngineConfig
 from pickylab.errors import InvalidArgument, ScaleExceeded
 from pickylab.exactnum import p_adic_valuation, prime_factors
 from pickylab.permgroup import (
@@ -62,26 +61,16 @@ def set_closure(seed, degree):
 
 
 def set_normal_closure(group_set, seeds, degree):
-    """Normal closure of <seeds> inside the subgroup given as a set."""
-
-    def inv(p):
-        out = [0] * len(p)
-        for i, j in enumerate(p):
-            out[j] = i
-        return tuple(out)
-
-    gens = set(seeds)
-    while True:
-        new = set(gens)
-        for s in list(gens):
-            for k in group_set:
-                ki = inv(k)
-                conj = tuple(k[s[ki[i]]] for i in range(degree))
-                new.add(conj)
-        closed = set_closure(new, degree)
-        if closed == set_closure(gens, degree):
-            return closed
-        gens = closed
+    """Normal closure of <seeds> inside the subgroup given as a set: the
+    subgroup generated by the conjugates s^k of the seeds, k in the set."""
+    conjugates = set()
+    for s in seeds:
+        for k in group_set:
+            c = [0] * degree
+            for i in range(degree):
+                c[k[i]] = k[s[i]]
+            conjugates.add(tuple(c))
+    return set_closure(conjugates, degree)
 
 
 def brute_is_subnormal(h_seed, k_set, degree):
@@ -283,8 +272,11 @@ class TestSubnormalizerSet:
         assert len(subnormalizer_set(S4, Perm.identity(4))) == 24
 
     def test_scale_bound(self):
-        with pytest.raises(ScaleExceeded):
-            subnormalizer_set(named_group("S:5"), parse_perm("(1,2)", 5), EngineConfig(subnormalizer_bound=100))
+        # S8 (order 40320) is refused from a chain stopped past the bound.
+        G = named_group("S:8")
+        with pytest.raises(ScaleExceeded, match="subnormalizer bound 10000"):
+            subnormalizer_set(G, parse_perm("(1,2)", 8))
+        assert G._chain is None
 
     def test_scale_bound_before_the_chain(self):
         G = named_group("S:150")
@@ -585,8 +577,10 @@ class TestChainLength:
             chain_length(named_group("A:4"), PermGroup([parse_perm("(1,2)", 4)]))
 
     def test_scale_bound(self):
-        with pytest.raises(ScaleExceeded):
-            chain_length(named_group("S:5"), named_group("S:5"), EngineConfig(chain_length_bound=60))
+        G = named_group("S:8")
+        with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
+            chain_length(G, named_group("S:8"))
+        assert G._chain is None
 
     def test_scale_bound_before_the_chain(self):
         # S150 is refused from a chain stopped past the bound; its full
