@@ -33,7 +33,7 @@ from .exactnum import (
     FieldFingerprint,
     field_fingerprint,
     is_prime,
-    p_adic_valuation,
+    p_part,
     prime_factors,
 )
 from .permgroup import (
@@ -552,7 +552,7 @@ def cd(T: CharacterTable) -> tuple[int, ...]:
 
 def cd_p(T: CharacterTable, p: int) -> tuple[int, ...]:
     """Set of p-parts of the irreducible character degrees, ascending."""
-    return tuple(sorted({p ** p_adic_valuation(d, p) for d in T.degrees}))
+    return tuple(sorted({p_part(d, p) for d in T.degrees}))
 
 
 def field_of_value(T: CharacterTable, chi: Character, x: Perm) -> FieldFingerprint:

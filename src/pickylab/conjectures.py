@@ -14,10 +14,18 @@ sides coincide; the checks compare those multisets.  Signature variants:
 
 Any ``fails`` verdict for a multiset check is re-verified by rebuilding
 both groups and tables from scratch before it is reported.
+
+A check is one function ``check_<name>(G, p[, variant])`` returning
+``(status, witnesses)``.  The ``@_check`` decorator registers it in
+``CHECKS`` under ``<name>``, in definition order, and the registered
+function times the body and returns a CheckReport; it also takes
+``group_label=`` for the report.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -32,8 +40,8 @@ from .chartab import (
     irr_nonvanishing_on,
     irr_pprime,
 )
-from .errors import EngineDefect, ScaleExceeded
-from .exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, prime_factors
+from .errors import EngineDefect, InvalidArgument, ScaleExceeded
+from .exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, p_part, prime_factors
 from .permgroup import (
     Perm,
     PermGroup,
@@ -80,17 +88,6 @@ class CheckReport:
         return out
 
 
-def _finish(name, label, p, status, witnesses, t0) -> CheckReport:
-    return CheckReport(
-        check_name=name,
-        group_label=label,
-        prime=p,
-        status=status,
-        witnesses=witnesses,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-    )
-
-
 # ----------------------------------------------------------------------
 # Bijection signatures.
 
@@ -114,8 +111,7 @@ class BijectionSignature:
             v = T.values[i][j]
             if v.is_zero():
                 continue
-            d = T.degrees[i]
-            dp = p ** p_adic_valuation(d, p)
+            dp = p_part(T.degrees[i], p)
             if variant == "degree":
                 items.append((dp,))
             elif variant == "plain":
@@ -141,33 +137,31 @@ def _jsonify(obj):
     return obj
 
 
-def _signature_comparison(TG, TH, x, p) -> dict:
-    """All signature variants on both sides, with equality verdicts and
-    the structural implications asserted."""
-    out = {}
-    for variant in ("degree",) + VARIANTS:
-        sg = BijectionSignature.build(TG, x, p, variant)
-        sh = BijectionSignature.build(TH, x, p, variant)
-        out[variant] = {"left": sg, "right": sh, "equal": sg.multiset == sh.multiset}
-    # strong refines both ppart and plain, which refine the degree clause.
-    if out["strong"]["equal"]:
-        if not (out["ppart"]["equal"] and out["plain"]["equal"]):
-            raise EngineDefect("strong signatures match but a coarsening does not")
-    if out["ppart"]["equal"] or out["plain"]["equal"]:
-        if not out["degree"]["equal"]:
-            raise EngineDefect("refined signatures match but degree p-parts do not")
-    return out
-
-
-def _comparison_json(comp: dict) -> dict:
-    return {
-        variant: {
-            "equal": data["equal"],
-            "left": data["left"].to_json(),
-            "right": data["right"].to_json(),
-        }
-        for variant, data in comp.items()
+def _compare(G, T, H, x, p, variant) -> tuple[dict, bool]:
+    """Irr^x(G) against Irr^x(H), T the table of G, in every signature
+    variant, with the structural implications asserted.  Returns the
+    comparison entry and whether ``variant`` matches; a mismatch is
+    re-verified from scratch before it is returned."""
+    TH = character_table(H)
+    sides = {
+        v: (BijectionSignature.build(T, x, p, v), BijectionSignature.build(TH, x, p, v))
+        for v in ("degree",) + VARIANTS
     }
+    equal = {v: sg.multiset == sh.multiset for v, (sg, sh) in sides.items()}
+    # strong refines both ppart and plain, which refine the degree clause.
+    if equal["strong"] and not (equal["ppart"] and equal["plain"]):
+        raise EngineDefect("strong signatures match but a coarsening does not")
+    if (equal["ppart"] or equal["plain"]) and not equal["degree"]:
+        raise EngineDefect("refined signatures match but degree p-parts do not")
+    entry = {
+        "comparison": {
+            v: {"equal": equal[v], "left": sg.to_json(), "right": sh.to_json()}
+            for v, (sg, sh) in sides.items()
+        }
+    }
+    if not equal[variant]:
+        entry["witness_reverified"] = _reverify_mismatch(G, H, x, p, variant)
+    return entry, equal[variant]
 
 
 def _fresh(G: PermGroup) -> PermGroup:
@@ -185,11 +179,41 @@ def _reverify_mismatch(G, H, x, p, variant) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Registry.
+
+CHECKS: dict = {}
+_TAKES_VARIANT: set[str] = set()
+
+
+def _check(body):
+    """Register ``check_<name>`` as ``CHECKS[<name>]``.  The registered
+    function validates the variant, times ``body`` and wraps the
+    ``(status, witnesses)`` it returns in a CheckReport."""
+    name = body.__name__.removeprefix("check_")
+    signature = inspect.signature(body)
+    if "variant" in signature.parameters:
+        _TAKES_VARIANT.add(name)
+
+    @functools.wraps(body)
+    def check(G, p, *args, group_label="G", **kwargs):
+        variant = signature.bind(G, p, *args, **kwargs).arguments.get("variant", "plain")
+        if variant not in VARIANTS:
+            raise InvalidArgument(f"variant must be one of {VARIANTS}")
+        t0 = time.monotonic()
+        status, witnesses = body(G, p, *args, **kwargs)
+        runtime_ms = int((time.monotonic() - t0) * 1000)
+        return CheckReport(name, group_label, p, status, witnesses, runtime_ms)
+
+    CHECKS[name] = check
+    return check
+
+
+# ----------------------------------------------------------------------
 # Theorem checks.
 
-def check_ito_michler(G, p, *, group_label="G"):
+@_check
+def check_ito_michler(G, p):
     """Normal abelian Sylow p-subgroup iff no degree divisible by p."""
-    t0 = time.monotonic()
     # The table first: its bound is below the Sylow bound, so it refuses first.
     degrees_p = cd_p(character_table(G), p)
     data = sylow_data(G, p)
@@ -203,12 +227,12 @@ def check_ito_michler(G, p, *, group_label="G"):
     }
     if status == FAILS:
         witnesses["engine_bug"] = True  # a proved theorem cannot fail
-    return _finish("ito_michler", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_normality_via_qblocks(G, p, *, group_label="G"):
+@_check
+def check_normality_via_qblocks(G, p):
     """P normal iff p divides no degree in any principal q-block, q != p."""
-    t0 = time.monotonic()
     left = sylow_data(G, p).count == 1
     T = character_table(G)
     right = True
@@ -230,12 +254,12 @@ def check_normality_via_qblocks(G, p, *, group_label="G"):
         witnesses["divisible_degree"] = witness_q
     if status == FAILS:
         witnesses["engine_bug"] = True
-    return _finish("normality_via_qblocks", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_mckay(G, p, *, group_label="G"):
+@_check
+def check_mckay(G, p):
     """|Irr_{p'}(G)| = |Irr_{p'}(N_G(P))|."""
-    t0 = time.monotonic()
     data = sylow_data(G, p)
     count_g = len(irr_pprime(character_table(G), p))
     count_n = len(irr_pprime(character_table(data.normalizer), p))
@@ -245,13 +269,13 @@ def check_mckay(G, p, *, group_label="G"):
         "count_N": count_n,
         "normalizer_order": data.normalizer.order,
     }
-    return _finish("mckay", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_degree_conjectures(G, p, *, group_label="G"):
+@_check
+def check_degree_conjectures(G, p):
     """|cd(P)| <= |cd_p(G)| + 1, and the sharp b <= 2f bound; the
     asymptotic clauses are reported as data only."""
-    t0 = time.monotonic()
     P = sylow_data(G, p).subgroup
     TP = character_table(P)
     cd_P = cd(TP)
@@ -270,44 +294,34 @@ def check_degree_conjectures(G, p, *, group_label="G"):
         "count_bound_holds": ok_count,
         "b_le_2f_holds": ok_b2f,
     }
-    return _finish("degree_conjectures", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_chain_conjecture(G, p, *, group_label="G"):
+@_check
+def check_chain_conjecture(G, p):
     """Chains between N_G(P) and G are no longer than the number of
     irreducible degrees divisible by p."""
-    t0 = time.monotonic()
     T = character_table(G)
     n = sum(1 for d in T.degrees if d % p == 0)
     data = sylow_data(G, p)
     N = data.normalizer
     if N.same_group(G) and n == 0:
-        return _finish(
-            "chain_conjecture", group_label, p, HOLDS, {"chain_length": 0, "n": 0}, t0
-        )
+        return HOLDS, {"chain_length": 0, "n": 0}
     try:
         t = chain_length(G, N)
     except ScaleExceeded as exc:
-        return _finish("chain_conjecture", group_label, p, SKIPPED, {"reason": str(exc)}, t0)
+        return SKIPPED, {"reason": str(exc)}
     status = HOLDS if t <= n else FAILS
-    witnesses = {"chain_length": t, "n": n, "normalizer_order": N.order}
-    return _finish("chain_conjecture", group_label, p, status, witnesses, t0)
+    return status, {"chain_length": t, "n": n, "normalizer_order": N.order}
 
 
-def check_height_conjectures(G, p, *, group_label="G"):
+@_check
+def check_height_conjectures(G, p):
     """Principal-block height statements: |cd(P)| <= |ht(B0)| + 1 and the
     equality min(cd(P) - {1}) = p^min(ht(B0) - {0}), with empty infima
     reading as infinity on both sides."""
-    t0 = time.monotonic()
     if G.order % p != 0:
-        return _finish(
-            "height_conjectures",
-            group_label,
-            p,
-            SKIPPED,
-            {"reason": "p does not divide |G|"},
-            t0,
-        )
+        return SKIPPED, {"reason": "p does not divide |G|"}
     T = character_table(G)
     b0 = principal_block(block_partition(T, p))
     ht = b0.height_set
@@ -329,13 +343,13 @@ def check_height_conjectures(G, p, *, group_label="G"):
         "dl_P": derived_length(P),
         "max_height": max(ht),
     }
-    return _finish("height_conjectures", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_vanishing_proposition(G, p, *, group_label="G"):
+@_check
+def check_vanishing_proposition(G, p):
     """Characters outside the maximal-defect blocks vanish at every picky
     element."""
-    t0 = time.monotonic()
     T = character_table(G)
     bp = block_partition(T, p)
     small_defect_rows = [i for b in bp.blocks if b.defect < bp.a for i in b.indices]
@@ -356,19 +370,17 @@ def check_vanishing_proposition(G, p, *, group_label="G"):
     if violations:
         witnesses["violations"] = violations
         witnesses["engine_bug"] = True
-    return _finish("vanishing_proposition", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_alperin_c(G, p, *, group_label="G"):
+@_check
+def check_alperin_c(G, p):
     """For a TI Sylow p-subgroup: the number of characters not vanishing on
     P matches |Irr(N_G(P))|.  Both readings of "not vanishing on P" are
     computed: with the identity included the left side is all of Irr(G), so
     the literal count is tried first and the nonidentity reading second."""
-    t0 = time.monotonic()
     if not is_ti_sylow(G, p):
-        return _finish(
-            "alperin_c", group_label, p, SKIPPED, {"reason": "Sylow subgroup is not TI"}, t0
-        )
+        return SKIPPED, {"reason": "Sylow subgroup is not TI"}
     data = sylow_data(G, p)
     T = character_table(G)
     literal = len(irr_nonvanishing_on(T, data.subgroup))
@@ -388,117 +400,78 @@ def check_alperin_c(G, p, *, group_label="G"):
     else:
         witnesses["engine_bug_or_definition_mismatch"] = True
         status = FAILS
-    return _finish("alperin_c", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
-def check_kb_principal(G, p, *, group_label="G"):
+@_check
+def check_kb_principal(G, p):
     """The principal block has at most |P| characters."""
-    t0 = time.monotonic()
     T = character_table(G)
     bp = block_partition(T, p)
     b0 = principal_block(bp)
     bound = p ** bp.a
     status = HOLDS if len(b0) <= bound else FAILS
-    return _finish(
-        "kb_principal",
-        group_label,
-        p,
-        status,
-        {"principal_block_size": len(b0), "sylow_order": bound},
-        t0,
-    )
+    return status, {"principal_block_size": len(b0), "sylow_order": bound}
 
 
 # ----------------------------------------------------------------------
 # Bijection checks.
 
-def check_picky_conjecture(G, p, variant: str = "plain", *, group_label="G"):
+@_check
+def check_picky_conjecture(G, p, variant: str = "plain"):
     """For every picky class representative x, the signature multisets of
     Irr^x(G) and Irr^x(N_G(P)) coincide (P the unique Sylow containing x)."""
-    t0 = time.monotonic()
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     picky = picky_class_representatives(G, p)
     if not picky:
         # Vacuous instance: no picky elements, nothing to compare.
-        return _finish(
-            "picky_conjecture",
-            group_label,
-            p,
-            HOLDS,
-            {"variant": variant, "picky_classes": [], "vacuous": True},
-            t0,
-        )
+        return HOLDS, {"variant": variant, "picky_classes": [], "vacuous": True}
     T = character_table(G)
     per_class = []
     all_hold = True
     for x in picky:
         _, N = sylow_containing(G, p, x)
-        TN = character_table(N)
-        comp = _signature_comparison(T, TN, x, p)
-        entry = {
-            "element": x.cycle_string(),
-            "normalizer_order": N.order,
-            "comparison": _comparison_json(comp),
-        }
-        if not comp[variant]["equal"]:
-            all_hold = False
-            entry["witness_reverified"] = _reverify_mismatch(G, N, x, p, variant)
-        per_class.append(entry)
+        entry, equal = _compare(G, T, N, x, p, variant)
+        per_class.append({"element": x.cycle_string(), "normalizer_order": N.order, **entry})
+        all_hold = all_hold and equal
     status = HOLDS if all_hold else FAILS
-    witnesses = {"variant": variant, "picky_classes": per_class}
-    return _finish("picky_conjecture", group_label, p, status, witnesses, t0)
+    return status, {"variant": variant, "picky_classes": per_class}
 
 
-def check_subnormalizer_conjecture(G, p, variant: str = "plain", *, group_label="G"):
+@_check
+def check_subnormalizer_conjecture(G, p, variant: str = "plain"):
     """For every nonidentity p-element class representative x, the signature
     multisets of Irr^x(G) and Irr^x(Sub_G(x)) coincide.  Picky classes must
     reproduce the picky comparison exactly (Sub_G(x) = N_G(P))."""
-    t0 = time.monotonic()
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     reps = p_element_class_representatives(G, p)
     T = character_table(G)
     per_class = []
     all_hold = True
     any_skipped = False
     for x in reps:
-        entry = {"element": x.cycle_string()}
         try:
             sub = subnormalizer_subgroup(G, x)
         except ScaleExceeded as exc:
-            entry["skipped"] = str(exc)
+            per_class.append({"element": x.cycle_string(), "skipped": str(exc)})
             any_skipped = True
-            per_class.append(entry)
             continue
         picky = sylow_count_containing(G, p, x) == 1
         if picky:
             _, N = sylow_containing(G, p, x)
             if not sub.same_group(N):
                 raise EngineDefect("picky element with Sub_G(x) != N_G(P)")
-        Tsub = character_table(sub)
-        comp = _signature_comparison(T, Tsub, x, p)
-        entry["subnormalizer_order"] = sub.order
-        entry["picky"] = picky
-        entry["comparison"] = _comparison_json(comp)
-        if not comp[variant]["equal"]:
-            all_hold = False
-            entry["witness_reverified"] = _reverify_mismatch(G, sub, x, p, variant)
-        per_class.append(entry)
-    if not all_hold:
-        status = FAILS
-    elif any_skipped:
-        status = SKIPPED
-    else:
-        status = HOLDS
-    witnesses = {"variant": variant, "classes": per_class}
-    return _finish("subnormalizer_conjecture", group_label, p, status, witnesses, t0)
+        entry, equal = _compare(G, T, sub, x, p, variant)
+        per_class.append(
+            {"element": x.cycle_string(), "subnormalizer_order": sub.order, "picky": picky, **entry}
+        )
+        all_hold = all_hold and equal
+    status = FAILS if not all_hold else SKIPPED if any_skipped else HOLDS
+    return status, {"variant": variant, "classes": per_class}
 
 
-def check_fusion_lemma(G, p, *, group_label="G"):
+@_check
+def check_fusion_lemma(G, p):
     """Elements of Sub_G(x) that are G-conjugate to x are already
     Sub_G(x)-conjugate to x."""
-    t0 = time.monotonic()
     reps = p_element_class_representatives(G, p)
     checked = []
     violations = []
@@ -523,60 +496,26 @@ def check_fusion_lemma(G, p, *, group_label="G"):
                 }
             )
         checked.append({"element": x.cycle_string(), "class_members_in_sub": len(inside)})
-    if violations:
-        status = FAILS
-    elif any_skipped:
-        status = SKIPPED
-    else:
-        status = HOLDS
+    status = FAILS if violations else SKIPPED if any_skipped else HOLDS
     witnesses = {"classes": checked}
     if violations:
         witnesses["violations"] = violations
         witnesses["engine_bug"] = True
-    return _finish("fusion_lemma", group_label, p, status, witnesses, t0)
+    return status, witnesses
 
 
 # ----------------------------------------------------------------------
-# Registry and batch helper.
-
-CHECKS = {
-    "ito_michler": check_ito_michler,
-    "normality_via_qblocks": check_normality_via_qblocks,
-    "mckay": check_mckay,
-    "degree_conjectures": check_degree_conjectures,
-    "chain_conjecture": check_chain_conjecture,
-    "height_conjectures": check_height_conjectures,
-    "vanishing_proposition": check_vanishing_proposition,
-    "alperin_c": check_alperin_c,
-    "kb_principal": check_kb_principal,
-    "picky_conjecture": check_picky_conjecture,
-    "subnormalizer_conjecture": check_subnormalizer_conjecture,
-    "fusion_lemma": check_fusion_lemma,
-}
-
-THEOREM_CHECKS = (
-    "ito_michler",
-    "normality_via_qblocks",
-    "vanishing_proposition",
-    "alperin_c",
-    "fusion_lemma",
-)
-
+# Dispatch and batch helper.
 
 def run_check(
-    name: str,
-    G: PermGroup,
-    p: int,
-    *,
-    group_label="G",
-    variant: str = "plain",
+    name: str, G: PermGroup, p: int, *, group_label="G", variant: str = "plain"
 ) -> CheckReport:
-    fn = CHECKS.get(name)
-    if fn is None:
-        raise ValueError(f"unknown check {name!r}")
-    if name in ("picky_conjecture", "subnormalizer_conjecture"):
-        return fn(G, p, variant, group_label=group_label)
-    return fn(G, p, group_label=group_label)
+    """One named check; ``variant`` goes only to the checks that take one."""
+    check = CHECKS.get(name)
+    if check is None:
+        raise InvalidArgument(f"unknown check {name!r}; choose from {', '.join(CHECKS)} or 'all'")
+    args = (variant,) if name in _TAKES_VARIANT else ()
+    return check(G, p, *args, group_label=group_label)
 
 
 def run_all_checks(G: PermGroup, p: int, *, group_label="G") -> list[CheckReport]:
@@ -586,16 +525,11 @@ def run_all_checks(G: PermGroup, p: int, *, group_label="G") -> list[CheckReport
     applicable" and a clean run reports nothing but holds.
     Cross-statement implications are asserted before returning."""
     reports: list[CheckReport] = []
-    for name in CHECKS:
+    for name, check in CHECKS.items():
         if name == "picky_conjecture":
-            for variant in VARIANTS:
-                reports.append(run_check(name, G, p, group_label=group_label, variant=variant))
-        elif name == "subnormalizer_conjecture":
-            reports.append(run_check(name, G, p, group_label=group_label, variant="plain"))
-        elif name == "alperin_c" and not is_ti_sylow(G, p):
-            continue
-        else:
-            reports.append(run_check(name, G, p, group_label=group_label))
+            reports += [check(G, p, variant, group_label=group_label) for variant in VARIANTS]
+        elif name != "alperin_c" or is_ti_sylow(G, p):
+            reports.append(check(G, p, group_label=group_label))
     # A picky bijection preserving degree p-parts forces the McKay count.
     picky_plain = next(
         r

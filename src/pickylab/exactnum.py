@@ -44,6 +44,11 @@ def p_adic_valuation(n: int, p: int) -> int:
     return e
 
 
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n (n nonzero)."""
+    return p ** p_adic_valuation(n, p)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -72,6 +77,12 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def prime_of_power(n: int) -> int | None:
+    """The prime p when n = p**e with e >= 1, else None."""
+    primes = prime_factors(n)
+    return primes[0] if len(primes) == 1 else None
 
 
 def euler_phi(n: int) -> int:
@@ -491,12 +502,8 @@ def algebraic_p_part(alpha: Cyclotomic, p: int) -> PPart:
             raise EngineDefect("characteristic polynomial has irrational coefficient")
     if not all(coef.rational_value().denominator == 1 for coef in poly):
         raise InvalidArgument("value is not an algebraic integer")
-    norm = Cyclotomic.from_rational(1)
-    for img in conjugates:
-        norm = norm * img
-    if not norm.is_rational():
-        raise EngineDefect("field norm is irrational")
-    nval = norm.rational_value()
-    if nval.denominator != 1 or nval == 0:
-        raise EngineDefect("field norm of an algebraic integer must be a nonzero rational integer")
-    return PPart(p, Fraction(p_adic_valuation(int(nval), p), degree))
+    # The constant term is (-1)**degree times the field norm.
+    norm = int(poly[0].rational_value())
+    if norm == 0:
+        raise EngineDefect("field norm of a nonzero algebraic integer is 0")
+    return PPart(p, Fraction(p_adic_valuation(norm, p), degree))

@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from .config import ENUM_BOUND, SYLOW_BOUND
 from .errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
-from .exactnum import is_prime, p_adic_valuation
+from .exactnum import is_prime, p_part
 
 # ----------------------------------------------------------------------
 # Raw image-tuple helpers.
@@ -703,10 +703,7 @@ class SylowData:
 def _p_power_part(x: Perm, p: int) -> Perm:
     """The p-part of the element x: x to the power of its p'-order."""
     m = x.order()
-    mp = m
-    while mp % p == 0:
-        mp //= p
-    return x ** mp
+    return x ** (m // p_part(m, p))
 
 
 def sylow_data(G: PermGroup, p: int) -> SylowData:
@@ -716,7 +713,7 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not a prime")
     check_order_bound(G, SYLOW_BOUND, "sylow")
-    target = p ** p_adic_valuation(G.order, p)
+    target = p_part(G.order, p)
     Q = PermGroup([], G.degree)
     while Q.order < target:
         N = G if Q.is_trivial() else normalizer(G, Q)
@@ -746,9 +743,7 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
 
 def is_p_element(x: Perm, p: int) -> bool:
     m = x.order()
-    while m % p == 0:
-        m //= p
-    return m == 1
+    return p_part(m, p) == m
 
 
 def _sylow_containment(G: PermGroup, p: int, x: Perm) -> tuple[int, tuple[PermGroup, PermGroup]]:

@@ -43,7 +43,7 @@ from operator import itemgetter
 
 from .config import CHAIN_LENGTH_BOUND, SUBNORMALIZER_BOUND
 from .errors import EngineDefect, InvalidArgument
-from .exactnum import p_adic_valuation, prime_factors
+from .exactnum import p_part, prime_of_power
 from .permgroup import (
     Perm,
     PermGroup,
@@ -76,15 +76,14 @@ def _is_subnormal_tuples(
     ``group_order``.  For seeds of p-power order by one normal closure,
     stopped once its order passes the p-part of ``group_order``; otherwise
     by the descending series."""
-    primes = prime_factors(seed_order)
-    if len(primes) != 1:
+    p = prime_of_power(seed_order)
+    if p is None:
         return _descending_series(seed_tuples, seed_order, group_gens, degree)
-    (p,) = primes
-    p_part = p ** p_adic_valuation(group_order, p)
-    closure, _ = normal_closure_chain(group_gens, seed_tuples, degree, p_part + 1)
+    bound = p_part(group_order, p)
+    closure, _ = normal_closure_chain(group_gens, seed_tuples, degree, bound + 1)
     # A complete closure's order divides group_order, so it is a p-group
-    # exactly when its order divides p_part; a stopped one exceeds p_part.
-    return p_part % closure.order() == 0
+    # exactly when its order divides the p-part; a stopped one exceeds it.
+    return bound % closure.order() == 0
 
 
 def _descending_series(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
@@ -127,8 +126,8 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
     # Centralizing or <x>-normalizing elements qualify immediately.
     if xg in x_tuples:
         return True
-    primes = prime_factors(x_order)
-    if len(primes) == 1 and not is_p_element(Perm(_mul(_inv(xt), xg)), primes[0]):
+    p = prime_of_power(x_order)
+    if p is not None and not is_p_element(Perm(_mul(_inv(xt), xg)), p):
         return False  # [x, g] lies in the normal closure of <x>
     return _is_subnormal_tuples([xt], x_order, [xt, gt], len(xt), group_order)
 
@@ -185,14 +184,11 @@ def subnormalizer_subgroup(G: PermGroup, x: Perm) -> PermGroup:
         return G._cache[key]
     sset = subnormalizer_set(G, x)
     sub = group_generated_by(sset, G.degree)
-    order = x.order()
-    if order > 1:
-        primes = prime_factors(order)
-        if len(primes) == 1:
-            (p,) = primes
-            _, N = sylow_containing(G, p, x)
-            if not N.is_subgroup_of(sub):
-                raise EngineDefect("N_G(P) is not contained in the subnormalizer subgroup")
+    p = prime_of_power(x.order())
+    if p is not None:
+        _, N = sylow_containing(G, p, x)
+        if not N.is_subgroup_of(sub):
+            raise EngineDefect("N_G(P) is not contained in the subnormalizer subgroup")
     G._cache[key] = sub
     return sub
 

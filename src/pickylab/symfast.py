@@ -22,7 +22,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .errors import InvalidArgument
-from .exactnum import p_adic_valuation
+from .exactnum import p_part
 
 Partition = tuple[int, ...]
 
@@ -196,7 +196,7 @@ def table1_report() -> dict:
         for v, deg in pairs:
             if v == 0:
                 continue
-            t = 2 ** p_adic_valuation(deg, 2)
+            t = p_part(deg, 2)
             unsigned[(abs(v), t)] = unsigned.get((abs(v), t), 0) + 1
             signed[(v, t)] = signed.get((v, t), 0) + 1
         return unsigned, signed

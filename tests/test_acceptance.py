@@ -14,6 +14,7 @@ scale, where both sides are fully checkable.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from pickylab.errors import EngineDefect
 from pickylab.permgroup import named_group
 from pickylab.subnorm import covering_analysis, p_element_class_representatives, picky_report
 from pickylab.symfast import mn_value, partitions, table1_report, table1_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 THEOREM_CHECKS = {
     "ito_michler",
@@ -223,4 +226,6 @@ class TestCriterion8Determinism:
         a = json.dumps(run_batch("full"), sort_keys=True, separators=(",", ":"))
         b = json.dumps(run_batch("full"), sort_keys=True, separators=(",", ":"))
         assert a == b
+        # The recorded output of the benchmark's reference run.
+        assert a == (ROOT / "perfbench" / "reference" / "full_batch.json").read_text()
         print("\nACCEPTANCE 8 (batch determinism, full catalog): PASS")

@@ -266,6 +266,16 @@ class TestBatch:
         third = run_batch(tiny_catalog)
         assert json.dumps(first, sort_keys=True) == json.dumps(third, sort_keys=True)
 
+    def test_timings_bypass_a_warm_cache(self, tiny_catalog, tmp_path, monkeypatch):
+        monkeypatch.setenv("PICKYLAB_CACHE", str(tmp_path / "cache"))
+        cold = run_batch(tiny_catalog)
+        assert all("runtime_ms" not in r for r in cold["reports"])
+        timed = run_batch(tiny_catalog, timings=True)
+        assert all("runtime_ms" in r for r in timed["reports"])
+        for r in timed["reports"]:
+            del r["runtime_ms"]
+        assert json.dumps(timed, sort_keys=True) == json.dumps(cold, sort_keys=True)
+
     def test_cache_keeps_labels_apart(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PICKYLAB_CACHE", str(tmp_path / "cache"))
         for label in ("First", "Second"):

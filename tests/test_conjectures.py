@@ -23,6 +23,7 @@ from pickylab.conjectures import (
     run_check,
     _reverify_mismatch,
 )
+from pickylab.errors import InvalidArgument
 from pickylab.permgroup import named_group, parse_perm
 
 
@@ -272,6 +273,18 @@ class TestHarness:
         assert isinstance(r, CheckReport) and r.check_name == "mckay"
         with pytest.raises(ValueError):
             run_check("nonsense", named_group("S:4"), 2)
+
+    def test_check_call_forms(self):
+        S4 = named_group("S:4")
+        by_position = check_picky_conjecture(S4, 2, "strong", group_label="S4")
+        by_keyword = check_picky_conjecture(S4, 2, variant="strong", group_label="S4")
+        assert by_position.group_label == by_keyword.group_label == "S4"
+        assert by_position.witnesses == by_keyword.witnesses
+        assert by_position.witnesses["variant"] == "strong"
+        with pytest.raises(InvalidArgument, match="variant must be one of"):
+            check_subnormalizer_conjecture(S4, 2, variant="bogus")
+        with pytest.raises(InvalidArgument, match="choose from ito_michler, .* or 'all'"):
+            run_check("nonsense", S4, 2)
 
     def test_report_serialization_excludes_timing_by_default(self):
         r = run_check("mckay", named_group("S:4"), 2)

@@ -81,3 +81,21 @@ def test_every_traced_boundary_exists():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             missing.append(f"{module}.{path}")
     assert missing == [], f"traced names missing from pickylab: {missing}"
+
+
+def test_registered_checks_match_the_benchmark():
+    """The checks register in the order perfbench/layers.py reports them,
+    each as the module attribute ``check_<name>`` itself, which is the
+    object the tracer patches; a registration mistake fails here instead
+    of zeroing a per-check ``self_s`` row."""
+    from pickylab import conjectures
+
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    (bench_checks,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CHECKS"]
+    ]
+    assert list(conjectures.CHECKS) == list(bench_checks)
+    for name, check in conjectures.CHECKS.items():
+        assert check is getattr(conjectures, "check_" + name), name
