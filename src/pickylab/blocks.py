@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartab import CharacterTable
-from .errors import EngineDefect
-from .exactnum import Cyclotomic, p_adic_valuation
+from .errors import EngineDefect, InvalidArgument
+from .exactnum import Cyclotomic, is_prime, p_adic_valuation
 
 # ----------------------------------------------------------------------
 
@@ -47,6 +47,8 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
     key = ("blocks", p)
     if key in T.group._cache:
         return T.group._cache[key]
+    if not is_prime(p):
+        raise InvalidArgument(f"{p} is not a prime")
     k = T.k
     order = T.group.order
     a = p_adic_valuation(order, p)

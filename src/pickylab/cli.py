@@ -358,11 +358,17 @@ def _cmd_table1(args) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 # Argument parsing.
 
+def _prime(text: str) -> int:
+    """The argparse type of every -p option."""
+    if not (text.isdecimal() and is_prime(int(text))):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to a file instead of stdout")
     common.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    common.add_argument("--timings", action="store_true", help="include runtime_ms in reports")
 
     ap = argparse.ArgumentParser(
         prog="pickylab",
@@ -376,17 +382,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("blocks", parents=[common], help="Brauer p-block partition")
     b.add_argument("group")
-    b.add_argument("-p", dest="prime", type=int, required=True)
+    b.add_argument("-p", dest="prime", type=_prime, required=True)
     b.set_defaults(fn=_cmd_blocks)
 
     s = sub.add_parser("sylow", parents=[common], help="Sylow p-subgroup and its normalizer")
     s.add_argument("group")
-    s.add_argument("-p", dest="prime", type=int, required=True)
+    s.add_argument("-p", dest="prime", type=_prime, required=True)
     s.set_defaults(fn=_cmd_sylow)
 
     pk = sub.add_parser("picky", parents=[common], help="picky reports for all p-element classes")
     pk.add_argument("group")
-    pk.add_argument("-p", dest="prime", type=int, required=True)
+    pk.add_argument("-p", dest="prime", type=_prime, required=True)
     pk.set_defaults(fn=_cmd_picky)
 
     sn = sub.add_parser(
@@ -399,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", parents=[common], help="run one named check or all of them")
     c.add_argument("name", help=f"one of: {', '.join(CHECKS)}, or 'all'")
     c.add_argument("group")
-    c.add_argument("-p", dest="prime", type=int, required=True)
+    c.add_argument("-p", dest="prime", type=_prime, required=True)
     c.add_argument("--variant", choices=VARIANTS, default="plain")
     c.set_defaults(fn=_cmd_check)
 
@@ -407,6 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("catalog", help="catalog JSON path, or bundled name: small, full")
     bt.add_argument("--jobs", type=int, default=1)
     bt.set_defaults(fn=_cmd_batch)
+
+    for timed in (c, bt):
+        timed.add_argument("--timings", action="store_true", help="include runtime_ms in reports")
 
     t1 = sub.add_parser(
         "table1", parents=[common], help="S16 vs S8 wr C2 value comparison at an 8-cycle"

@@ -10,6 +10,17 @@ n-th cyclotomic polynomial and then pushed down to the minimal conductor, so
 equality of values is plain equality of the stored data, and the string form
 is bit-stable across platforms and runs.
 
+The push down goes one prime at a time, from level n = p*d to level d,
+without linear algebra.  When p divides d, Phi_n(x) = Phi_d(x**p), so a
+value lies in Q(zeta_d) exactly when every stored exponent is divisible by
+p, and its level-d coordinates are c_(p*i).  When p does not divide d,
+zeta_n**j = zeta_d**(j*s) * zeta_p**(j*t) with s = 1/p mod d and
+t = 1/d mod p; sorting the terms by j*t mod p writes the value as
+beta_0 + beta_1*zeta_p + ... + beta_(p-1)*zeta_p**(p-1) with each beta_k
+in Q(zeta_d).  Since zeta_p, ..., zeta_p**(p-1) is a basis of Q(zeta_n)
+over Q(zeta_d) with sum -1, the value lies in Q(zeta_d) exactly when
+beta_1 = ... = beta_(p-1), and then equals beta_0 - beta_1.
+
 The power basis is an integral basis of the ring of integers of Q(zeta_n),
 so a value is an algebraic integer exactly when all stored coefficients are
 integers; `algebraic_p_part` nevertheless re-validates integrality through
@@ -21,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import EngineDefect, InvalidArgument
 
@@ -33,9 +44,11 @@ _ONE = Fraction(1)
 # Elementary number theory helpers.
 
 def p_adic_valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n nonzero)."""
+    """Largest e with p**e dividing n (n nonzero, p >= 2)."""
     if n == 0:
         raise InvalidArgument("valuation of 0 is undefined")
+    if p < 2:
+        raise InvalidArgument(f"valuation at {p} is undefined")
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -83,13 +96,6 @@ def prime_of_power(n: int) -> int | None:
     """The prime p when n = p**e with e >= 1, else None."""
     primes = prime_factors(n)
     return primes[0] if len(primes) == 1 else None
-
-
-def euler_phi(n: int) -> int:
-    phi = n
-    for p in prime_factors(n):
-        phi = phi // p * (p - 1)
-    return phi
 
 
 @lru_cache(maxsize=None)
@@ -166,52 +172,29 @@ def _galois_dict(n: int, coeffs: dict[int, Fraction], k: int) -> dict[int, Fract
     return _canonical_at_level(n, {(j * k) % n: c for j, c in coeffs.items()})
 
 
-@lru_cache(maxsize=None)
-def _subfield_basis_rows(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Canonical level-n expansions of the level-d power basis (d | n)."""
-    step = n // d
-    rows = _reduction_rows(n)
-    return tuple(rows[step * i] for i in range(euler_phi(d)))
-
-
 def _downconvert(n: int, coeffs: dict[int, Fraction], d: int) -> dict[int, Fraction] | None:
-    """Rewrite a level-n value in the level-d basis, or None if impossible."""
-    basis = _subfield_basis_rows(n, d)
-    ncols = len(basis)
-    nrows = euler_phi(n)
-    # Dense augmented matrix [M | v] over Fractions; solve M x = v.
-    aug = [[_ZERO] * (ncols + 1) for _ in range(nrows)]
-    for i, row in enumerate(basis):
-        for e, m in row:
-            aug[e][i] = Fraction(m)
-    for e, c in coeffs.items():
-        aug[e][ncols] = c
-    # Gaussian elimination with deterministic pivoting.
-    pivot_rows = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_rows.append(col)
-        r += 1
-    # Consistency: rows beyond the pivots must have zero right-hand side.
-    for i in range(r, nrows):
-        if aug[i][ncols]:
+    """Rewrite a canonical level-n value in the level-d basis (n = p*d with
+    p prime), or None when it does not lie in Q(zeta_d)."""
+    p = n // d
+    if d % p == 0:
+        # Phi_n(x) = Phi_d(x**p), so Q(zeta_d) is spanned by the z**(p*i).
+        if any(j % p for j in coeffs):
             return None
-    sol = {}
-    for i, col in enumerate(pivot_rows):
-        v = aug[i][ncols]
-        if v:
-            sol[col] = v
-    return sol
+        return {j // p: c for j, c in coeffs.items()}
+    # zeta_n**j = zeta_d**(j*s) * zeta_p**(j*t): sort the terms into
+    # beta_0, ..., beta_(p-1) by their power of zeta_p (see the module
+    # docstring); the value lies in Q(zeta_d) iff beta_1 = ... = beta_(p-1).
+    s, t = pow(p, -1, d), pow(d, -1, p)
+    parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    for j, c in coeffs.items():
+        parts[j * t % p][j * s % d] = c
+    beta = _canonical_at_level(d, parts[1])
+    if any(_canonical_at_level(d, part) != beta for part in parts[2:]):
+        return None
+    diff = parts[0]
+    for e, c in beta.items():
+        diff[e] = diff.get(e, _ZERO) - c
+    return _canonical_at_level(d, diff)
 
 
 def _reduce_conductor(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
@@ -220,23 +203,12 @@ def _reduce_conductor(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[in
         return 1, {}
     while n > 1:
         for p in prime_factors(n):
-            d = n // p
-            # Fixed by Gal(Q(zeta_n)/Q(zeta_d)) = { k = 1 mod d, gcd(k, n) = 1 }?
-            fixed = all(
-                _galois_dict(n, coeffs, k) == coeffs
-                for k in range(1 + d, n, d)
-                if gcd(k, n) == 1
-            )
-            if not fixed:
-                continue
-            down = _downconvert(n, coeffs, d)
+            down = _downconvert(n, coeffs, n // p)
             if down is not None:
-                n, coeffs = d, down
+                n, coeffs = n // p, down
                 break
         else:
             break
-        if not coeffs:
-            return 1, {}
     return n, coeffs
 
 
@@ -313,7 +285,7 @@ class Cyclotomic:
                     merged.pop(j, None)
             n, merged = _reduce_conductor(self.conductor, merged)
             return Cyclotomic(n, merged, _canonical=True)
-        n = _lcm(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         exps: dict[int, Fraction] = {}
         for val in (self, other):
             step = n // val.conductor
@@ -351,7 +323,7 @@ class Cyclotomic:
             return other * self.rational_value()
         if other.conductor == 1:
             return self * other.rational_value()
-        n = _lcm(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         s1, s2 = n // self.conductor, n // other.conductor
         exps: dict[int, Fraction] = {}
         for j1, c1 in self._coeffs.items():
@@ -425,10 +397,6 @@ class Cyclotomic:
         return f"c_{self.conductor}({body})"
 
     __repr__ = to_string
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 # ----------------------------------------------------------------------

@@ -784,7 +784,10 @@ def is_ti_sylow(G: PermGroup, p: int) -> bool:
     """Whether distinct Sylow p-subgroups intersect trivially.
 
     Cross-checked against the equivalent statement that every nontrivial
-    element of P lies in a unique Sylow p-subgroup."""
+    element of P lies in a unique Sylow p-subgroup.  Cached per p."""
+    key = ("ti_sylow", p)
+    if key in G._cache:
+        return G._cache[key]
     data = sylow_data(G, p)
     P = data.subgroup
     if P.is_trivial():
@@ -804,6 +807,7 @@ def is_ti_sylow(G: PermGroup, p: int) -> bool:
     every_picky = all(c == 1 for c in containment_counts.values())
     if ti != every_picky:
         raise EngineDefect("TI test disagrees with the every-element-picky test")
+    G._cache[key] = ti
     return ti
 
 

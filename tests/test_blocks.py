@@ -1,7 +1,10 @@
 """Brauer block partitions, defects, and heights."""
 
+import pytest
+
 from pickylab.blocks import block_partition, blocks_json, principal_block
 from pickylab.chartab import character_table
+from pickylab.errors import InvalidArgument
 from pickylab.exactnum import Cyclotomic, p_adic_valuation
 from pickylab.permgroup import named_group
 
@@ -129,3 +132,9 @@ class TestPartitionProperties:
         assert data["format"] == 1
         assert data["blocks"][0]["principal"] is True
         assert data["blocks"][0]["degrees"] == [1, 1]
+
+
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 6])
+def test_non_prime_is_refused(p):
+    with pytest.raises(InvalidArgument, match="not a prime"):
+        block_partition(character_table(named_group("S:4")), p)

@@ -143,6 +143,30 @@ class TestErrors:
         assert out == ""
         assert "two computation paths disagree" in err
 
+    @pytest.mark.parametrize("prime", ["1", "0", "4", "-2", "x"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["blocks", "S:4"],
+            ["sylow", "S:4"],
+            ["picky", "S:4"],
+            ["check", "kb_principal", "S:4"],
+            ["check", "all", "S:4"],
+        ],
+    )
+    def test_non_prime_p_is_usage_error(self, capsys, command, prime):
+        code, out, err = invoke(capsys, *command, "-p", prime)
+        assert code == EXIT_ERROR and out == ""
+        assert f"{prime!r} is not a prime" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["table", "S:3"], ["blocks", "S:3", "-p", "2"], ["sylow", "S:4", "-p", "2"]]
+    )
+    def test_timings_only_where_reports_are_timed(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--timings")
+        assert code == EXIT_ERROR and out == ""
+        assert "unrecognized arguments: --timings" in err
+
     def test_element_outside_group(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "A:4", "-x", "(1,2)")
         assert code == EXIT_ERROR
@@ -265,6 +289,12 @@ class TestBatch:
             f.write_text("{broken")
         third = run_batch(tiny_catalog)
         assert json.dumps(first, sort_keys=True) == json.dumps(third, sort_keys=True)
+
+    def test_check_and_batch_take_timings(self, capsys, tiny_catalog):
+        for argv in (["check", "mckay", "S:3", "-p", "2"], ["batch", tiny_catalog]):
+            code, out, _ = invoke(capsys, *argv, "--timings")
+            assert code == EXIT_OK
+            assert all("runtime_ms" in r for r in json.loads(out)["reports"])
 
     def test_timings_bypass_a_warm_cache(self, tiny_catalog, tmp_path, monkeypatch):
         monkeypatch.setenv("PICKYLAB_CACHE", str(tmp_path / "cache"))

@@ -3,6 +3,7 @@ signature machinery, and the cross-statement implications."""
 
 import pytest
 
+from pickylab import conjectures
 from pickylab.chartab import character_table
 from pickylab.conjectures import (
     BijectionSignature,
@@ -24,7 +25,7 @@ from pickylab.conjectures import (
     _reverify_mismatch,
 )
 from pickylab.errors import InvalidArgument
-from pickylab.permgroup import named_group, parse_perm
+from pickylab.permgroup import PermGroup, named_group, parse_perm
 
 
 class TestItoMichler:
@@ -267,6 +268,32 @@ class TestHarness:
         reports = run_all_checks(named_group("A:4"), 3, group_label="A4")
         assert any(r.check_name == "alperin_c" for r in reports)
         assert all(r.status == "holds" for r in reports)
+
+    def test_ti_is_decided_once_per_group_and_prime(self, monkeypatch):
+        # run_all_checks asks whether alperin_c applies and check_alperin_c
+        # asks again; only the first question may scan the Sylow subgroup.
+        scans = 0
+        inside_ti = False
+        elements, is_ti_sylow = PermGroup.elements, conjectures.is_ti_sylow
+
+        def counting_elements(self):
+            nonlocal scans
+            scans += inside_ti
+            return elements(self)
+
+        def watched_is_ti_sylow(G, p):
+            nonlocal inside_ti
+            inside_ti = True
+            try:
+                return is_ti_sylow(G, p)
+            finally:
+                inside_ti = False
+
+        monkeypatch.setattr(PermGroup, "elements", counting_elements)
+        monkeypatch.setattr(conjectures, "is_ti_sylow", watched_is_ti_sylow)
+        reports = run_all_checks(named_group("A:4"), 3)
+        assert any(r.check_name == "alperin_c" for r in reports)
+        assert scans == 1
 
     def test_run_check_dispatch(self):
         r = run_check("mckay", named_group("S:4"), 2, group_label="S4")

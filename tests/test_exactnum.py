@@ -1,7 +1,9 @@
-"""Exact cyclotomic arithmetic: canonical forms, Galois action, field
-fingerprints, and p-parts of algebraic integers."""
+"""Exact cyclotomic arithmetic: canonical forms, Galois action, conductor
+descent, field fingerprints, and p-parts of algebraic integers."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,13 @@ from hypothesis import strategies as st
 from pickylab.errors import InvalidArgument
 from pickylab.exactnum import (
     Cyclotomic,
+    _canonical_at_level,
+    _downconvert,
+    _galois_dict,
+    _reduce_conductor,
+    _reduction_rows,
     algebraic_p_part,
     cyclotomic_polynomial,
-    euler_phi,
     field_fingerprint,
     is_prime,
     p_adic_valuation,
@@ -30,12 +36,14 @@ class TestBasicNumberTheory:
         assert p_adic_valuation(24, 3) == 1
         assert p_adic_valuation(7, 2) == 0
 
+    @pytest.mark.parametrize("p", [-2, -1, 0, 1])
+    def test_valuation_needs_a_base_of_at_least_two(self, p):
+        with pytest.raises(InvalidArgument):
+            p_adic_valuation(24, p)
+
     def test_primes(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
         assert prime_factors(360) == (2, 3, 5)
-        assert euler_phi(1) == 1
-        assert euler_phi(8) == 4
-        assert euler_phi(12) == 4
 
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -122,6 +130,106 @@ class TestCanonicalForm:
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) * a == a * a + b * a
+
+
+# Definition-level conductor descent: the oracle for the relative-basis rule
+# of `_downconvert`.  Membership in Q(zeta_d) is decided twice, by fixity
+# under Gal(Q(zeta_n)/Q(zeta_d)) and by solving for level-d coordinates with
+# Gauss-Jordan elimination over Fractions, and the two must agree.
+
+def galois_fixed(n, coeffs, d):
+    """Whether the level-n value is fixed by every zeta_n -> zeta_n**k with
+    k = 1 mod d and gcd(k, n) = 1, i.e. lies in Q(zeta_d)."""
+    return all(
+        _galois_dict(n, coeffs, k) == coeffs for k in range(1 + d, n, d) if gcd(k, n) == 1
+    )
+
+
+def solve_in_subfield(n, coeffs, d):
+    """Coordinates of the level-n value in the level-d power basis, found by
+    Gauss-Jordan elimination over the level-n images of that basis, or None.
+    Row e of the augmented system holds the coefficients of z**e: column i
+    for the basis element z**((n/d)*i), column ncols for the value."""
+    rows = _reduction_rows(n)
+    ncols = len(cyclotomic_polynomial(d)) - 1
+    aug = [{} for _ in range(len(cyclotomic_polynomial(n)) - 1)]
+    for i in range(ncols):
+        for e, m in rows[n // d * i]:
+            aug[e][i] = Fraction(m)
+    for e, c in coeffs.items():
+        aug[e][ncols] = c
+    pivots = []
+    for col in range(ncols):
+        k = next((k for k, row in enumerate(aug) if col in row), None)
+        if k is None:
+            continue
+        inv = 1 / aug[k][col]
+        piv = {c: x * inv for c, x in aug.pop(k).items()}
+        for row in aug + [r for _, r in pivots]:
+            f = row.get(col)
+            if f:
+                for c, b in piv.items():
+                    v = row.get(c, 0) - f * b
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        pivots.append((col, piv))
+    if any(ncols in row for row in aug):
+        return None
+    return {col: row[ncols] for col, row in pivots if ncols in row}
+
+
+def definition_downconvert(n, coeffs, d):
+    down = solve_in_subfield(n, coeffs, d)
+    assert galois_fixed(n, coeffs, d) == (down is not None)
+    return down
+
+
+def definition_reduce(n, coeffs):
+    while coeffs and n > 1:
+        for p in prime_factors(n):
+            down = definition_downconvert(n, coeffs, n // p)
+            if down is not None:
+                n, coeffs = n // p, down
+                break
+        else:
+            break
+    return (n, coeffs) if coeffs else (1, {})
+
+
+def divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+# Every level up to 130 (n = 2 mod 4 included: the Fourier lift builds
+# Cyclotomic(6, ...) at an order-6 class) and every divisor of exp(S8) = 840.
+DESCENT_LEVELS = sorted(set(range(1, 131)) | set(divisors(840)))
+
+
+def descent_samples(n):
+    """One value at level n lying in Q(zeta_m) for each m | n, so that every
+    descent the level allows occurs."""
+    rng = random.Random(n)
+    values = []
+    for m in divisors(n):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[rng.randrange(m) * (n // m)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        values.append(_canonical_at_level(n, terms))
+    return values
+
+
+@pytest.mark.parametrize("n", DESCENT_LEVELS)
+def test_descent_matches_definition(n):
+    for coeffs in descent_samples(n):
+        for p in prime_factors(n):
+            assert _downconvert(n, dict(coeffs), n // p) == definition_downconvert(
+                n, coeffs, n // p
+            )
+        conductor, reduced = _reduce_conductor(n, dict(coeffs))
+        assert (conductor, reduced) == definition_reduce(n, coeffs)
+        assert conductor % 4 != 2
 
 
 class TestFieldFingerprint:

@@ -5,8 +5,10 @@ so no labelling-free invariant may change.  The stabilizer chain takes its
 base points from the labelling (the smallest moved points), so a relabelled
 group runs the kernel, the known-order exit of chain_length and the
 subnormalizer scan on different bases, transversals and element orders,
-and the character table build on different class representatives and
-class matrices."""
+the character table build on different class representatives and
+class matrices, and the signatures of Irr^x(G) (field fingerprints, value
+strings and p-parts, all pushed down to their minimal conductors) on
+different values of x."""
 
 from functools import cache
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from pickylab.blocks import block_partition
 from pickylab.chartab import _build_table
 from pickylab.cli import load_catalog
+from pickylab.conjectures import VARIANTS, BijectionSignature
 from pickylab.permgroup import Perm, conjugacy_classes, sylow_data
 from pickylab.subnorm import chain_length, p_element_class_representatives, subnormalizer_subgroup
 
@@ -39,12 +42,20 @@ def table_invariants(T, primes):
 
 def invariants(G, primes):
     classes = sorted((c.representative.cycle_type(), c.size) for c in conjugacy_classes(G))
+    # The build is the part of the table layer that sees the labelling; the
+    # verification after it reads only values (C12's takes 0.15 s of 0.17).
+    T = _build_table(G)
     per_prime = {}
     for p in primes:
         data = sylow_data(G, p)
-        subnormalizers = sorted(
-            (x.cycle_type(), subnormalizer_subgroup(G, x).order)
-            for x in p_element_class_representatives(G, p)
+        reps = p_element_class_representatives(G, p)
+        subnormalizers = sorted((x.cycle_type(), subnormalizer_subgroup(G, x).order) for x in reps)
+        signatures = sorted(
+            (
+                x.cycle_type(),
+                [BijectionSignature.build(T, x, p, v).multiset for v in ("degree",) + VARIANTS],
+            )
+            for x in reps
         )
         per_prime[p] = (
             data.count,
@@ -53,10 +64,9 @@ def invariants(G, primes):
             # From P itself the recursion passes through more subgroups.
             chain_length(G, data.subgroup),
             subnormalizers,
+            signatures,
         )
-    # The build is the part of the table layer that sees the labelling; the
-    # verification after it reads only values (C12's takes 0.15 s of 0.17).
-    return G.order, classes, per_prime, table_invariants(_build_table(G), primes)
+    return G.order, classes, per_prime, table_invariants(T, primes)
 
 
 @cache
