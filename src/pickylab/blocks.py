@@ -1,22 +1,28 @@
 """Brauer p-blocks from the character table.
 
-Two irreducible characters are linked when the sum of chi(g) psi(g^-1)
-over the p-regular elements (taken class-wise with exact cyclotomic
-arithmetic) is nonzero; the blocks are the connected components of that
-graph.  Defect numbers and heights come from the degree p-parts:
-chi(1)_p = p^(a - d + h) with a = v_p(|G|), d the block defect and h >= 0
-the height.  Defect groups are only constructed for the principal block,
-where they are the Sylow p-subgroups; other blocks carry the defect
-number alone.
+Two irreducible characters chi_i, chi_l are linked when Osima's sum
+sum_j |C_j| chi_i(g_j) chi_l(g_j^-1) over the p-regular classes is
+nonzero; the blocks are the connected components of that graph.  The sums
+are taken on integers: every table value is an algebraic integer whose
+conductor divides e, the lcm of the table's conductors, so it is lifted
+once to integer terms m * zeta_e**t (zeta_c = zeta_e**(e/c)).  Each sum is
+accumulated as an integer polynomial modulo x**e - 1 and reduced modulo
+the e-th cyclotomic polynomial once, and it vanishes exactly when every
+reduced coordinate is 0.  Defect numbers and heights come from the degree
+p-parts: chi(1)_p = p^(a - d + h) with a = v_p(|G|), d the block defect
+and h >= 0 the height.  Defect groups are only constructed for the
+principal block, where they are the Sylow p-subgroups; other blocks carry
+the defect number alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .chartab import CharacterTable
 from .errors import EngineDefect, InvalidArgument
-from .exactnum import Cyclotomic, is_prime, p_adic_valuation
+from .exactnum import integer_terms, is_prime, p_adic_valuation, reduce_at_level
 
 # ----------------------------------------------------------------------
 
@@ -54,10 +60,14 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
     a = p_adic_valuation(order, p)
     regular = [j for j, c in enumerate(T.classes) if c.element_order % p != 0]
     inv = T.inverse_classes
-    sizes = [c.size for c in T.classes]
+    e = lcm(*(v.conductor for row in T.values for v in row))
+    # Row i's terms weighted by |C_j|, and row l's terms at the inverse class.
+    weighted = [
+        [[(t, m * T.classes[j].size) for t, m in integer_terms(row[j], e)] for j in regular]
+        for row in T.values
+    ]
+    at_inverse = [[integer_terms(row[inv[j]], e) for j in regular] for row in T.values]
 
-    # The value at the inverse class must agree with the complex conjugate;
-    # the table already asserts this, and we rely on it here.
     parent = list(range(k))
 
     def find(x):
@@ -70,10 +80,12 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
         for l in range(i + 1, k):
             if find(i) == find(l):
                 continue
-            s = Cyclotomic.from_rational(0)
-            for j in regular:
-                s = s + T.values[i][j] * T.values[l][inv[j]] * sizes[j]
-            if not s.is_zero():
+            acc = [0] * e
+            for left, right in zip(weighted[i], at_inverse[l]):
+                for t, m in left:
+                    for u, n in right:
+                        acc[(t + u) % e] += m * n
+            if any(reduce_at_level(e, acc)):
                 parent[find(l)] = find(i)
 
     comps: dict[int, list[int]] = {}

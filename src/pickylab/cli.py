@@ -122,7 +122,11 @@ def load_catalog(path: str) -> list[CatalogEntry]:
             if not isinstance(primes, list) or not primes:
                 raise ParseError(f"{where}.primes: must be a nonempty array of primes")
             for p in primes:
-                if not isinstance(p, int) or not is_prime(p):
+                try:
+                    prime = isinstance(p, int) and is_prime(p)
+                except InvalidArgument as exc:
+                    raise ParseError(f"{where}.primes: {exc}") from exc
+                if not prime:
                     raise ParseError(f"{where}.primes: {p!r} is not a prime")
         gen_text = None
         try:
@@ -360,7 +364,11 @@ def _cmd_table1(args) -> tuple[dict, int]:
 
 def _prime(text: str) -> int:
     """The argparse type of every -p option."""
-    if not (text.isdecimal() and is_prime(int(text))):
+    try:
+        prime = text.isdecimal() and is_prime(int(text))
+    except InvalidArgument as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not prime:
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
     return int(text)
 

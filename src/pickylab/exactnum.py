@@ -63,17 +63,33 @@ def p_part(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test with the first 13 primes as bases.
+
+    Those bases decide every n below 3.3 * 10**24 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017); above
+    that the answer would only be probable, so such an n is refused."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n >= 3317044064679887385961981:
+        raise InvalidArgument(f"primality of {n} is not decided above 3.3e24")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -397,6 +413,38 @@ class Cyclotomic:
         return f"c_{self.conductor}({body})"
 
     __repr__ = to_string
+
+
+# ----------------------------------------------------------------------
+# Algebraic integers as integer terms at one common level.
+
+def integer_terms(alpha: Cyclotomic, e: int) -> tuple[tuple[int, int], ...]:
+    """An algebraic integer alpha of conductor c | e as pairs (t, m) with
+    alpha = sum m * zeta_e**t.  Since zeta_c**j = zeta_e**(j*e/c) this is
+    exact, and the power basis is integral, so a stored coefficient that is
+    not an integer is a defect of whatever produced alpha."""
+    c = alpha.conductor
+    if e % c:
+        raise InvalidArgument(f"value of conductor {c} does not lie in Q(zeta_{e})")
+    step = e // c
+    terms = []
+    for j, m in alpha._coeffs.items():
+        if m.denominator != 1:
+            raise EngineDefect(f"{alpha} is not an algebraic integer")
+        terms.append((j * step, m.numerator))
+    return tuple(terms)
+
+
+def reduce_at_level(e: int, acc: list[int]) -> list[int]:
+    """Power-basis coordinates at level e of sum acc[t] * zeta_e**t: the
+    residue of the integer polynomial modulo the e-th cyclotomic polynomial."""
+    rows = _reduction_rows(e)
+    out = [0] * (len(cyclotomic_polynomial(e)) - 1)
+    for t, m in enumerate(acc):
+        if m:
+            for k, r in rows[t]:
+                out[k] += m * r
+    return out
 
 
 # ----------------------------------------------------------------------

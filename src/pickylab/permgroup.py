@@ -549,20 +549,21 @@ class ConjugacyClass:
 
 def conjugacy_classes(G: PermGroup) -> list[ConjugacyClass]:
     """Classes sorted by (element order, size, representative); every
-    representative is the lexicographically smallest member of its class."""
+    representative is the lexicographically smallest member of its class.
+    The chain's elements are walked in its own order, one conjugation orbit
+    per element not yet seen; the sorted element list is never built."""
     if G._classes is None:
-        elems = G.elements()
+        check_order_bound(G, ENUM_BOUND, "enumeration")
         gens = [g.images for g in G.generators]
         seen: set[tuple[int, ...]] = set()
         raw = []
         class_of: dict[tuple[int, ...], int] = {}
-        for e in elems:
-            if e.images in seen:
+        for t in G.chain.iter_elements():
+            if t in seen:
                 continue
-            # e is lexicographically minimal in its class: elems is sorted.
-            orbit = _orbit(gens, e.images, _conj)
+            orbit = _orbit(gens, t, _conj)
             seen.update(orbit)
-            raw.append((e, orbit))
+            raw.append((Perm(min(orbit)), orbit))
         raw.sort(key=lambda pair: (pair[0].order(), len(pair[1]), pair[0].images))
         classes = []
         for idx, (rep, orbit) in enumerate(raw):

@@ -5,7 +5,7 @@ import pytest
 from pickylab.blocks import block_partition, blocks_json, principal_block
 from pickylab.chartab import character_table
 from pickylab.errors import InvalidArgument
-from pickylab.exactnum import Cyclotomic, p_adic_valuation
+from pickylab.exactnum import Cyclotomic, p_adic_valuation, prime_factors
 from pickylab.permgroup import named_group
 
 
@@ -21,6 +21,53 @@ def brute_link_sum(T, i, l, p):
         jinv = T.class_index(g.inverse())
         total = total + T.values[i][j] * T.values[l][jinv]
     return total
+
+
+def classwise_blocks(T, p):
+    """Definition-level reference for block_partition: Osima's link sum
+    sum_j |C_j| chi_i(g_j) chi_l(g_j^-1) over the p-regular classes in
+    Cyclotomic arithmetic, components of the link graph, and each block's
+    defect and heights from the degree p-parts.  Returns the sorted list of
+    (rows, defect, heights by row)."""
+    k = T.k
+    regular = [j for j, c in enumerate(T.classes) if c.element_order % p]
+    linked = {i: {i} for i in range(k)}
+    for i in range(k):
+        for l in range(i + 1, k):
+            s = Cyclotomic.from_rational(0)
+            for j in regular:
+                s = s + T.values[i][j] * T.values[l][T.inverse_classes[j]] * T.classes[j].size
+            if not s.is_zero():
+                merged = linked[i] | linked[l]
+                for r in merged:
+                    linked[r] = merged
+    a = p_adic_valuation(T.group.order, p)
+    out = []
+    for rows in {frozenset(c) for c in linked.values()}:
+        vals = {i: p_adic_valuation(T.degrees[i], p) for i in rows}
+        d = a - min(vals.values())
+        out.append((sorted(rows), d, {i: vals[i] - (a - d) for i in rows}))
+    return sorted(out, key=lambda b: b[0])
+
+
+def engine_blocks(T, p):
+    bp = block_partition(T, p)
+    return sorted(((sorted(b.indices), b.defect, b.heights) for b in bp.blocks), key=lambda b: b[0])
+
+
+class TestAgainstClasswiseSums:
+    def test_catalog_groups_at_every_prime(self, full_catalog_groups):
+        # The small catalog's entries are full catalog entries too.
+        for label, (G, primes) in full_catalog_groups.items():
+            T = character_table(G)
+            for p in primes:
+                assert engine_blocks(T, p) == classwise_blocks(T, p), (label, p)
+
+    @pytest.mark.parametrize("source", ["S:8", "C:24"])
+    def test_at_every_prime_of_the_order(self, source):
+        T = character_table(named_group(source))
+        for p in prime_factors(T.group.order) + (11,):
+            assert engine_blocks(T, p) == classwise_blocks(T, p), (source, p)
 
 
 class TestS3Fixtures:

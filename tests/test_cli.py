@@ -159,6 +159,19 @@ class TestErrors:
         assert code == EXIT_ERROR and out == ""
         assert f"{prime!r} is not a prime" in err
 
+    @pytest.mark.parametrize("command", ["blocks", "sylow"])
+    def test_large_prime_p_is_decided_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, command, "S:4", "-p", str(2**61 - 1))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert json.loads(out)["prime"] == 2**61 - 1
+
+    def test_prime_beyond_the_deterministic_bound_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "blocks", "S:4", "-p", "3317044064679887385961981")
+        assert code == EXIT_ERROR and out == ""
+        assert "not decided" in err
+
     @pytest.mark.parametrize(
         "argv", [["table", "S:3"], ["blocks", "S:3", "-p", "2"], ["sylow", "S:4", "-p", "2"]]
     )
@@ -230,12 +243,33 @@ class TestCatalog:
             ({"format": 2, "entries": []}, "format"),
             ({"format": 1, "entries": [{"label": "A"}]}, "source"),
             ({"format": 1, "entries": [{"label": "A", "source": "S:3", "primes": [4]}]}, "prime"),
+            (
+                {
+                    "format": 1,
+                    "entries": [
+                        {"label": "A", "source": "S:3", "primes": [3317044064679887385961981]}
+                    ],
+                },
+                "not decided",
+            ),
         ]
         for payload, needle in cases:
             cat = tmp_path / "bad.json"
             cat.write_text(json.dumps(payload))
             with pytest.raises(ParseError, match=needle):
                 load_catalog(str(cat))
+
+    def test_large_prime_is_decided_at_once(self, tmp_path):
+        cat = tmp_path / "large.json"
+        cat.write_text(
+            json.dumps(
+                {"format": 1, "entries": [{"label": "A", "source": "S:3", "primes": [2**61 - 1]}]}
+            )
+        )
+        start = time.perf_counter()
+        (entry,) = load_catalog(str(cat))
+        assert time.perf_counter() - start < 1
+        assert entry.primes == [2**61 - 1]
 
     def test_batch_cli_error_exit(self, capsys, tmp_path):
         cat = tmp_path / "bad.json"

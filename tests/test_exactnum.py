@@ -3,13 +3,14 @@ descent, field fingerprints, and p-parts of algebraic integers."""
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pickylab.errors import InvalidArgument
+from pickylab.errors import EngineDefect, InvalidArgument
 from pickylab.exactnum import (
     Cyclotomic,
     _canonical_at_level,
@@ -20,9 +21,11 @@ from pickylab.exactnum import (
     algebraic_p_part,
     cyclotomic_polynomial,
     field_fingerprint,
+    integer_terms,
     is_prime,
     p_adic_valuation,
     prime_factors,
+    reduce_at_level,
 )
 
 
@@ -44,6 +47,28 @@ class TestBasicNumberTheory:
     def test_primes(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
         assert prime_factors(360) == (2, 3, 5)
+
+    def test_is_prime_agrees_with_trial_division(self):
+        primes = []
+        for n in range(2 * 10**5):
+            # Trial division by the primes up to sqrt(n), found in order.
+            prime = n >= 2 and all(n % q for q in takewhile(lambda q: q * q <= n, primes))
+            if prime:
+                primes.append(n)
+            assert is_prime(n) == prime, n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes_are_decided(self):
+        assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+        assert not is_prime(1000003 * (2**61 - 1))
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1, 2**90])
+    def test_no_probable_answer_above_the_deterministic_bound(self, n):
+        with pytest.raises(InvalidArgument, match="not decided"):
+            is_prime(n)
 
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -130,6 +155,55 @@ class TestCanonicalForm:
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) * a == a * a + b * a
+
+
+class TestIntegerTerms:
+    @given(
+        st.sampled_from([1, 3, 4, 5, 8, 12]),
+        st.sampled_from([1, 2, 3, 5]),
+        st.dictionaries(st.integers(0, 11), st.integers(-4, 4), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lift_is_exact(self, n, factor, coeffs):
+        alpha = Cyclotomic(n, {k % n: Fraction(c) for k, c in coeffs.items()})
+        e = alpha.conductor * factor
+        terms = dict(integer_terms(alpha, e))
+        assert Cyclotomic(e, {t: Fraction(m) for t, m in terms.items()}) == alpha
+
+    @given(
+        st.integers(2, 30).flatmap(
+            lambda e: st.tuples(
+                st.just(e),
+                st.lists(st.integers(-5, 5), min_size=e, max_size=e),
+                st.sampled_from(prime_factors(e)),
+                st.integers(-3, 3),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reduction_matches_the_canonical_form(self, case):
+        e, acc, q, k = case
+        reduced = reduce_at_level(e, acc)
+        expected = _canonical_at_level(e, {t: Fraction(m) for t, m in enumerate(acc)})
+        assert {i: Fraction(m) for i, m in enumerate(reduced) if m} == expected
+        # Adding k times the sum of the q-th roots of unity changes nothing.
+        shifted = [m + k * (t % (e // q) == 0) for t, m in enumerate(acc)]
+        assert reduce_at_level(e, shifted) == reduced
+
+    def test_sum_of_the_cube_roots_of_unity_reduces_to_zero(self):
+        assert reduce_at_level(3, [1, 1, 1]) == [0, 0]
+        assert reduce_at_level(6, [1, 0, 1, 0, 1, 0]) == [0, 0]
+        assert reduce_at_level(6, [1, 1, 1, 1, 1, 1]) == [0, 0]
+        assert reduce_at_level(4, [1, 0, 1, 0]) == [0, 0]
+        assert reduce_at_level(4, [1, 1, 0, 0]) == [1, 1]
+
+    def test_non_integer_coefficient_is_a_defect(self):
+        with pytest.raises(EngineDefect, match="not an algebraic integer"):
+            integer_terms(Cyclotomic.zeta(3) * Fraction(1, 2), 6)
+
+    def test_level_must_be_a_multiple_of_the_conductor(self):
+        with pytest.raises(InvalidArgument):
+            integer_terms(Cyclotomic.zeta(3), 4)
 
 
 # Definition-level conductor descent: the oracle for the relative-basis rule

@@ -4,11 +4,13 @@ plain brute force over element sets, which never touches the stabilizer
 chain."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pickylab.chartab import _table_from_scratch, character_table
 from pickylab.cli import load_catalog
 from pickylab.errors import InvalidArgument, ParseError, ScaleExceeded
 from pickylab.permgroup import (
@@ -252,6 +254,13 @@ class TestNamedGroups:
             parse_generator_text("# only comments\n")
 
 
+# Builders for the class oracle: every catalog group, and three larger ones.
+ORACLE_GROUPS = {
+    **{entry.label: entry.build for entry in load_catalog("full")},
+    **{source: partial(named_group, source) for source in ("S:8", "A:8", "wr:S:4~C:2")},
+}
+
+
 class TestConjugacyClasses:
     def brute_classes(self, G):
         elems = [x.images for x in G.elements()]
@@ -305,6 +314,53 @@ class TestConjugacyClasses:
             for c in cls[:4]:
                 C = centralizer(G, c.representative)
                 assert c.size * C.order == G.order
+
+    @staticmethod
+    def sorted_elements_classes(G):
+        """The sorted-elements algorithm: walk G.elements() in order, so the
+        first element met in each conjugation orbit is its least."""
+        gens = [g.images for g in G.generators]
+        seen, raw = set(), []
+        for e in G.elements():
+            if e.images in seen:
+                continue
+            orbit = [e.images]
+            seen.add(e.images)
+            for t in orbit:
+                for g in gens:
+                    y = _mul(_mul(_inv(g), t), g)
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            raw.append((e.order(), len(orbit), e.images, orbit))
+        raw.sort(key=lambda r: r[:3])
+        class_of = {t: idx for idx, r in enumerate(raw) for t in r[3]}
+        return [r[:3] for r in raw], class_of
+
+    @pytest.mark.parametrize("label", sorted(ORACLE_GROUPS))
+    def test_against_the_sorted_elements_algorithm(self, label):
+        build = ORACLE_GROUPS[label]
+        G = build()
+        classes = conjugacy_classes(G)
+        assert G._elements is None
+        expected, class_of = self.sorted_elements_classes(build())
+        assert [(c.element_order, c.size, c.representative.images) for c in classes] == expected
+        assert G._class_of == class_of
+
+    def test_large_group_refused_without_its_chain(self):
+        G = named_group("S:150")
+        with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
+            conjugacy_classes(G)
+        assert G._chain is None
+
+    def test_character_table_leaves_the_sorted_elements_unbuilt(self):
+        G = named_group("S:8")
+        character_table(G)
+        assert G._elements is None
+        # The same on a build from scratch, in case the table above was shared.
+        G = named_group("S:8")
+        _table_from_scratch(G)
+        assert G._classes is not None and G._elements is None
 
     def test_class_index_of_rejects_outsiders(self):
         with pytest.raises(InvalidArgument):

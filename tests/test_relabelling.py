@@ -30,7 +30,9 @@ def table_invariants(T, primes):
     blocks = {}
     for p in primes:
         bp = block_partition(T, p)
-        blocks[p] = (len(bp.blocks), sorted(b.height_set for b in bp.blocks))
+        blocks[p] = sorted(
+            (b.defect, sorted(T.degrees[i] for i in b.indices), b.height_set) for b in bp.blocks
+        )
     return (
         T.k,
         sorted((c.size, c.element_order) for c in T.classes),
