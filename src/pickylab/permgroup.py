@@ -64,6 +64,23 @@ def _is_identity(p: tuple[int, ...]) -> bool:
     return p == _identity(len(p))
 
 
+def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Lengths of the nontrivial cycles, descending."""
+    seen = [False] * len(p)
+    lens = []
+    for i, j in enumerate(p):
+        if seen[i] or j == i:
+            continue
+        n = 1
+        while j != i:
+            seen[j] = True
+            j = p[j]
+            n += 1
+        lens.append(n)
+    lens.sort(reverse=True)
+    return tuple(lens)
+
+
 class Perm:
     """A permutation of {1..n}, stored as the 0-based image tuple."""
 
@@ -141,13 +158,13 @@ class Perm:
 
     def cycle_type(self, include_fixed: bool = False) -> tuple[int, ...]:
         """Cycle lengths, descending; optionally padded with fixed points."""
-        lens = sorted((len(c) for c in self.cycles()), reverse=True)
+        lens = _cycle_type(self.images)
         if include_fixed:
-            lens += [1] * (len(self.images) - sum(lens))
-        return tuple(lens)
+            lens += (1,) * (len(self.images) - sum(lens))
+        return lens
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
+        return lcm(*_cycle_type(self.images))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -547,31 +564,74 @@ class ConjugacyClass:
     element_order: int
 
 
+class _ClassMap:
+    """Element -> class index.  ``split`` holds the members of the cycle
+    types that hold several classes; every other element's class is found
+    from its cycle type by ``by_type``."""
+
+    __slots__ = ("by_type", "split")
+
+    def __init__(self, by_type: dict, split: dict):
+        self.by_type = by_type
+        self.split = split
+
+    def __getitem__(self, t: tuple[int, ...]) -> int:
+        idx = self.split.get(t)
+        return self.by_type[_cycle_type(t)] if idx is None else idx
+
+
 def conjugacy_classes(G: PermGroup) -> list[ConjugacyClass]:
     """Classes sorted by (element order, size, representative); every
     representative is the lexicographically smallest member of its class.
-    The chain's elements are walked in its own order, one conjugation orbit
-    per element not yet seen; the sorted element list is never built."""
+
+    The chain's elements are walked in its own order.  The cycle type is a
+    class function of Sym(n), hence of G, so each cycle type holds one or
+    more whole classes.  The first element of each new cycle type gives a
+    class: its conjugation orbit is walked for the minimum and the size,
+    then dropped.  The walk stops once these sizes add up to |G|: the
+    classes found are then disjoint and cover G, one per cycle type, so
+    they are all the classes and the cycle type decides each.  If the walk
+    ends short, the cycle types met more often than their class's size
+    split into several classes, and a second walk finds those classes,
+    recording only their members in the element -> class map.  The sorted
+    element list is never built."""
     if G._classes is None:
         check_order_bound(G, ENUM_BOUND, "enumeration")
         gens = [g.images for g in G.generators]
-        seen: set[tuple[int, ...]] = set()
-        raw = []
-        class_of: dict[tuple[int, ...], int] = {}
+        order = G.order
+        first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        met: dict[tuple[int, ...], int] = {}
+        total = 0
         for t in G.chain.iter_elements():
-            if t in seen:
-                continue
-            orbit = _orbit(gens, t, _conj)
-            seen.update(orbit)
-            raw.append((Perm(min(orbit)), orbit))
-        raw.sort(key=lambda pair: (pair[0].order(), len(pair[1]), pair[0].images))
-        classes = []
-        for idx, (rep, orbit) in enumerate(raw):
-            classes.append(ConjugacyClass(rep, len(orbit), rep.order()))
-            for t in orbit:
-                class_of[t] = idx
+            key = _cycle_type(t)
+            met[key] = met.get(key, 0) + 1
+            if key not in first:
+                orbit = _orbit(gens, t, _conj)
+                first[key] = (min(orbit), len(orbit))
+                total += len(orbit)
+                if total == order:
+                    break
+        split_types = {key for key, (_, size) in first.items() if met[key] > size}
+        # (element order, size, representative, cycle type if it decides the class)
+        raw = [(lcm(*key), size, rep, key) for key, (rep, size) in first.items()
+               if key not in split_types]
+        split: dict[tuple[int, ...], int] = {}  # member -> its class's index
+        if split_types:
+            for t in G.chain.iter_elements():
+                if t in split or _cycle_type(t) not in split_types:
+                    continue
+                orbit = _orbit(gens, t, _conj)
+                rep = min(orbit)
+                split.update(dict.fromkeys(orbit, rep))  # replaced by the index below
+                raw.append((lcm(*_cycle_type(rep)), len(orbit), rep, None))
+        raw.sort()
+        index = {rep: idx for idx, (_, _, rep, _) in enumerate(raw)}
+        for t, rep in split.items():
+            split[t] = index[rep]
+        classes = [ConjugacyClass(Perm(rep), size, m) for m, size, rep, _ in raw]
+        by_type = {key: idx for idx, (*_, key) in enumerate(raw) if key is not None}
         G._classes = classes
-        G._class_of = class_of
+        G._class_of = _ClassMap(by_type, split)
     return G._classes
 
 

@@ -3,6 +3,7 @@ Sylow machinery, derived series, parsing.  The heavy lifting is oracled by
 plain brute force over element sets, which never touches the stabilizer
 chain."""
 
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -17,6 +18,7 @@ from pickylab.permgroup import (
     Perm,
     PermGroup,
     _Chain,
+    _cycle_type,
     _inv,
     _is_identity,
     _mul,
@@ -177,6 +179,15 @@ class TestPerm:
         assert (x * x.inverse()).is_identity()
         assert x ** x.order() == Perm.identity(6)
 
+    @given(st.permutations(list(range(7))))
+    @settings(max_examples=50, deadline=None)
+    def test_cycle_type_against_the_cycles(self, images):
+        x = Perm(tuple(images))
+        lens = sorted((len(c) for c in x.cycles()), reverse=True)
+        assert _cycle_type(x.images) == x.cycle_type() == tuple(lens)
+        assert x.cycle_type(include_fixed=True) == tuple(lens + [1] * (7 - sum(lens)))
+        assert x.order() == next(k for k in range(1, 13) if (x ** k).is_identity())
+
 
 class TestConstruction:
     def test_s3_by_exhaustive_products(self):
@@ -257,7 +268,7 @@ class TestNamedGroups:
 # Builders for the class oracle: every catalog group, and three larger ones.
 ORACLE_GROUPS = {
     **{entry.label: entry.build for entry in load_catalog("full")},
-    **{source: partial(named_group, source) for source in ("S:8", "A:8", "wr:S:4~C:2")},
+    **{source: partial(named_group, source) for source in ("S:8", "A:8", "wr:S:4~C:2", "C:24")},
 }
 
 
@@ -345,7 +356,32 @@ class TestConjugacyClasses:
         assert G._elements is None
         expected, class_of = self.sorted_elements_classes(build())
         assert [(c.element_order, c.size, c.representative.images) for c in classes] == expected
-        assert G._class_of == class_of
+        assert len(class_of) == G.order
+        for t, idx in class_of.items():
+            assert G._class_of[t] == idx
+
+    def test_class_map_memory(self):
+        """S:8's cycle types each hold one class, so its class map holds no
+        element; A:8's holds exactly the members of the two cycle types
+        that split, the 7-cycles and the products of a 5- and a 3-cycle."""
+        tracemalloc.start()
+        try:
+            G = named_group("S:8")
+            conjugacy_classes(G)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000 and peak < 3_000_000
+        assert G._class_of.split == {}
+        A8 = named_group("A:8")
+        classes = conjugacy_classes(A8)
+        per_type = Counter(_cycle_type(c.representative.images) for c in classes)
+        split_types = {key for key, n in per_type.items() if n > 1}
+        assert split_types == {(7,), (5, 3)}
+        assert len(A8._class_of.split) == 8448 == sum(
+            c.size for c in classes if _cycle_type(c.representative.images) in split_types
+        )
+        assert all(_cycle_type(t) in split_types for t in A8._class_of.split)
 
     def test_large_group_refused_without_its_chain(self):
         G = named_group("S:150")
