@@ -29,10 +29,20 @@ Four maps of G leave the verdict for <x, g> unchanged:
 * t -> t^n for n in N_G(<x>), since <x, t^n> = <x, t>^n and <x>^n = <x>,
   and conjugation by n carries subnormal subgroups to subnormal ones.
 
-So the scan tests one element per orbit of G under these maps.  Right
+So the scan tests one element per orbit under these maps.  Right
 multiplication by x is inversion, left multiplication by x^-1 and inversion
 again, so the orbits are computed without a map of its own for it.
 Centralizing or <x>-normalizing elements are accepted without a closure.
+
+The scan walks only the right cosets N u of N = N_G(<x>) that can hold
+members.  For each prime q of o(x) let x_q be the q-part of x; <x_q> is
+characteristic in <x>.  If <x> is subnormal in <x, g>, so is <x_q>, since
+subnormality passes to intermediate subgroups; then x_q lies in the normal
+subgroup O_q(<x, g>), which also holds x_q^g, so <x_q, x_q^g> is a q-group
+in which <x_q> is subnormal.  For n in N, x_q^n generates <x_q>, so
+<x_q, x_q^(n u)> = <x_q, x_q^u>: one test per prime decides the condition
+for the whole coset.  N and the transversal come from one orbit of <x>
+under conjugation.  The identity has no primes and keeps its one coset, G.
 """
 
 from __future__ import annotations
@@ -43,15 +53,18 @@ from operator import itemgetter
 
 from .config import CHAIN_LENGTH_BOUND, SUBNORMALIZER_BOUND
 from .errors import EngineDefect, InvalidArgument
-from .exactnum import p_part, prime_of_power
+from .exactnum import p_part, prime_factors, prime_of_power
 from .permgroup import (
     Perm,
     PermGroup,
     _conj,
+    _conj_set,
     _inv,
     _is_identity,
     _mul,
     _orbit,
+    _orbit_stabilizer,
+    _p_power_part,
     _Chain,
     check_order_bound,
     conjugacy_classes,
@@ -60,7 +73,6 @@ from .permgroup import (
     group_generated_by,
     is_p_element,
     normal_closure_chain,
-    normalizer,
     sylow_containing,
     sylow_count_containing,
     sylow_data,
@@ -135,11 +147,16 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
 def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:
     """S_G(<x>) = { g : <x> subnormal in <x, g> }, as a sorted list.
 
-    The verdict is constant on each orbit of G under t -> x t, t -> t x,
-    t -> t^-1 and conjugation by N_G(<x>): <x, x^a t x^b> = <x, t^-1> =
-    <x, t>, and <x, t^n> = <x, t>^n with <x>^n = <x>.  So one test per
-    orbit suffices; every element is still reported.  The set is computed
-    once per (G, x) and cached on G; each call returns a new list.
+    Only the right cosets N u of N = N_G(<x>) with <x_q> subnormal in
+    <x_q, x_q^u> for every prime q of o(x) are scanned: every member's
+    coset passes, and the test is constant on each coset (see the module
+    docstring).  On those cosets the verdict is constant on each orbit
+    under t -> x t, t -> t x, t -> t^-1 and conjugation by N:
+    <x, x^a t x^b> = <x, t^-1> = <x, t>, and <x, t^n> = <x, t>^n with
+    <x>^n = <x>.  So one test per coset and prime, tried in ascending order
+    up to the first that fails, and one per orbit meeting the kept cosets
+    suffice; every element is still reported.  The set is computed once per
+    (G, x) and cached on G; each call returns a new list.
     """
     check_order_bound(G, SUBNORMALIZER_BOUND, "subnormalizer")
     if x not in G:
@@ -154,22 +171,41 @@ def _scan_subnormalizer(G: PermGroup, x: Perm) -> list[Perm]:
     xt = x.images
     x_order = x.order()
     powers = frozenset((x**k).images for k in range(x_order))
-    N = normalizer(G, group_generated_by([x], G.degree))
+    # One orbit of <x> under conjugation: N = N_G(<x>) and a right transversal.
+    transversal, N = _orbit_stabilizer(G, powers, _conj_set, [x])
+    parts = []  # (x_q, the powers of x_q) for each prime q of o(x), ascending
+    for q in prime_factors(x_order):
+        xq = _p_power_part(x, q)
+        parts.append((xq, frozenset((xq**k).images for k in range(xq.order()))))
+    # The cosets N u with <x_q> subnormal in <x_q, x_q^u> for every q.
+    kept = [
+        u
+        for u in transversal.values()
+        if all(
+            _subnormal_in_generated(
+                xq, q_powers, len(q_powers), Perm(_conj(xq.images, u)), G.order
+            )
+            for xq, q_powers in parts
+        )
+    ]
     # Powers of x are left out: left and right multiplication already
     # cover conjugation by them.
     maps = [lambda t: _mul(xt, t), _inv] + [
         lambda t, n=n.images: _conj(t, n) for n in N.generators if n.images not in powers
     ]
-    members: list[Perm] = []
+    members: list[tuple[int, ...]] = []
     decided: dict[tuple, bool] = {}
-    for g in G.elements():
-        verdict = decided.get(g.images)
-        if verdict is None:
-            verdict = _subnormal_in_generated(x, powers, x_order, g, G.order)
-            decided.update(dict.fromkeys(_orbit(maps, g.images, _apply), verdict))
-        if verdict:
-            members.append(g)
-    return members
+    for n in N.chain.iter_elements():  # n u runs over the kept cosets
+        for u in kept:
+            gt = _mul(n, u)
+            verdict = decided.get(gt)
+            if verdict is None:
+                verdict = _subnormal_in_generated(x, powers, x_order, Perm(gt), G.order)
+                decided.update(dict.fromkeys(_orbit(maps, gt, _apply), verdict))
+            if verdict:
+                members.append(gt)
+    members.sort()
+    return [Perm(t) for t in members]
 
 
 def _apply(t, f):
@@ -182,8 +218,9 @@ def subnormalizer_subgroup(G: PermGroup, x: Perm) -> PermGroup:
     key = ("subnormalizer", x.images)
     if key in G._cache:
         return G._cache[key]
-    sset = subnormalizer_set(G, x)
-    sub = group_generated_by(sset, G.degree)
+    sub = group_generated_by(subnormalizer_set(G, x), G.degree)
+    # The members are fresh tuples, held by G only until Sub_G(x) is built.
+    G._cache.pop(("subnormalizer_set", x.images), None)
     p = prime_of_power(x.order())
     if p is not None:
         _, N = sylow_containing(G, p, x)

@@ -83,6 +83,33 @@ def test_every_traced_boundary_exists():
     assert missing == [], f"traced names missing from pickylab: {missing}"
 
 
+def test_picky_report_scans_through_the_traced_boundary(monkeypatch):
+    """picky_report on a fresh group reaches the scan through the module
+    attribute ``subnorm.subnormalizer_set``, once per element: that is the
+    object perfbench/tracer.py wraps, so a call that bypassed it would
+    zero the ``subnorm.subnormalizer_set_s`` row without failing."""
+    from pickylab import subnorm
+    from pickylab.exactnum import prime_factors
+    from pickylab.permgroup import named_group
+
+    calls = []
+    scan = subnorm.subnormalizer_set
+
+    def counting(G, x):
+        calls.append(x.images)
+        return scan(G, x)
+
+    monkeypatch.setattr(subnorm, "subnormalizer_set", counting)
+    G = named_group("S:5")
+    want = []
+    for p in prime_factors(G.order):
+        for x in subnorm.p_element_class_representatives(G, p):
+            subnorm.picky_report(G, p, x)
+            want.append(x.images)
+    assert len(want) > 1
+    assert calls == want
+
+
 def test_registered_checks_match_the_benchmark():
     """The checks register in the order perfbench/layers.py reports them,
     each as the module attribute ``check_<name>`` itself, which is the

@@ -4,8 +4,9 @@ The brute-force oracles here work purely with element sets (saturation
 closures), never with stabilizer chains, so they are independent of the
 engine they check.  Two further oracles reuse engine parts on purpose: the
 double-coset scan calls the engine's subnormality test, so it checks only
-the orbit reduction of the scan, and the Wielandt check takes O_p from the
-engine's Sylow data, which is independent of the closure series."""
+the coset filter and orbit reduction of the scan, and the Wielandt check
+takes O_p from the engine's Sylow data, which is independent of the
+closure series."""
 
 import pytest
 from hypothesis import given, settings
@@ -117,17 +118,56 @@ def double_coset_subnormalizer_set(G, x):
     return members
 
 
-def brute_orbit_count(G, x):
-    """Orbits of G under t -> x t, t -> t x, t -> t^-1 and conjugation by
-    every element of N_G(<x>), with the normalizer found element by element."""
+def brute_normalizer(G, x):
+    """N_G(<x>), found element by element."""
     powers = {(x**k).images for k in range(x.order())}
-    norm = [n for n in G.elements() if x.conj(n).images in powers]
+    return [n for n in G.elements() if x.conj(n).images in powers]
+
+
+def sylow_part(x, q):
+    """x_q = x^k with k the q'-part of o(x)."""
+    m = x.order()
+    k = m
+    while k % q == 0:
+        k //= q
+    return x**k
+
+
+def is_q_group_generated(seed, degree, q):
+    """Whether the set closure of the seed tuples has q-power order."""
+    return prime_factors(len(set_closure(seed, degree))) in ((), (q,))
+
+
+def brute_kept_cosets(G, x, norm):
+    """The right cosets N g of N = ``norm`` that the scan keeps, as one set
+    of image tuples, with the number of coset-filter tests it makes: per
+    coset, the primes q of o(x) in ascending order, up to and including
+    the first for which <x_q, x_q^g> is not a q-group."""
+    kept, seen, tests = set(), set(), 0
+    for g in G.elements():
+        if g.images in seen:
+            continue
+        coset = {(n * g).images for n in norm}
+        seen |= coset
+        for q in prime_factors(x.order()):
+            tests += 1
+            xq = sylow_part(x, q)
+            if not is_q_group_generated({xq.images, xq.conj(g).images}, G.degree, q):
+                break
+        else:
+            kept |= coset
+    return kept, tests
+
+
+def brute_orbit_count(G, x, norm, kept):
+    """Orbits of G under t -> x t, t -> t x, t -> t^-1 and conjugation by
+    every element of ``norm`` that meet the image tuples ``kept``."""
     maps = [lambda t: x * t, lambda t: t * x, Perm.inverse]
     maps += [lambda t, n=n: t.conj(n) for n in norm]
     seen = set()
     count = 0
     for g in G.elements():
-        if g in seen:
+        if g in seen or g.images not in kept:
             continue
         count += 1
         seen.add(g)
@@ -243,7 +283,7 @@ class TestSubnormalizerSet:
             ("S:4", ["(1,2)", "(1,2,3,4)", "(1,2)(3,4)", "(1,2,3)"]),
             ("A:4", ["(1,2)(3,4)", "(1,2,3)"]),
             # (1,2,3,4,5,6) and (1,2)(3,4,5) have mixed order, so their
-            # tests run the descending series, not the p-group closure.
+            # orbit tests run the descending series, not the p-group closure.
             ("D:12", ["(1,4)(2,5)(3,6)", "(1,3,5)(2,4,6)", "(1,2,3,4,5,6)"]),
             ("S:5", ["(1,2)(3,4,5)"]),
         ]:
@@ -253,6 +293,15 @@ class TestSubnormalizerSet:
                 got = {g.images for g in subnormalizer_set(G, x)}
                 want = {g.images for g in brute_subnormalizer_set(G, x)}
                 assert got == want, (name, xs)
+
+    def test_subgroup_leaves_no_element_list_on_g(self):
+        """The scan walks cosets of N_G(<x>), not G.elements(), and the
+        member list is dropped once Sub_G(x) is built."""
+        G = named_group("S:7")
+        sub = subnormalizer_subgroup(G, parse_perm("(6,7)", 7))
+        assert sub.order == G.order
+        assert G._elements is None
+        assert [k for k in G._cache if k[0] == "subnormalizer_set"] == []
 
     def test_centralizer_contained(self, small_catalog_groups):
         for label, (G, _) in small_catalog_groups.items():
@@ -294,8 +343,8 @@ class TestSubnormalizerSet:
 
 
 class TestOrbitScanOracle:
-    """The orbit-reduced scan against the double-coset scan it replaced:
-    same members, in the same order."""
+    """The scan over the kept cosets of N_G(<x>), orbit-reduced, against
+    the double-coset scan over all of G: same members, in the same order."""
 
     def test_every_class_representative(self, oracle_groups):
         for source, G in oracle_groups.items():
@@ -322,6 +371,9 @@ class TestOrbitScanOracle:
         assert got == [g.images for g in double_coset_subnormalizer_set(G, x)]
 
     def test_one_subnormality_test_per_orbit(self, monkeypatch):
+        """Exactly one test per (coset of N_G(<x>), prime of o(x)) pair the
+        filter reaches, plus one per orbit that meets the kept cosets; both
+        counts come from element sets, not from the engine."""
         calls = []
 
         def counting(*args):
@@ -329,15 +381,51 @@ class TestOrbitScanOracle:
             return _subnormal_in_generated(*args)
 
         monkeypatch.setattr(subnorm, "_subnormal_in_generated", counting)
+        prime_counts = set()
         for entry in load_catalog("small"):
             G = entry.build()
             if G.order > 120:
                 continue
             for c in conjugacy_classes(G):
+                x = c.representative
                 calls.clear()
-                subnormalizer_set(G, c.representative)
-                want = brute_orbit_count(G, c.representative)
-                assert len(calls) == want, (entry.label, c.representative.cycle_string())
+                subnormalizer_set(G, x)
+                norm = brute_normalizer(G, x)
+                kept, filter_tests = brute_kept_cosets(G, x, norm)
+                want = filter_tests + brute_orbit_count(G, x, norm, kept)
+                assert len(calls) == want, (entry.label, x.cycle_string())
+                prime_counts.add(len(prime_factors(x.order())))
+        assert prime_counts == {0, 1, 2}
+
+    @pytest.mark.parametrize("cycles", ["(1,2)(3,4,5)", "(1,2,3,4,5,6)", "(1,2)(3,4)(5,6)"])
+    def test_elements_that_are_not_class_representatives(self, cycles):
+        G = named_group("S:6")
+        x = parse_perm(cycles, 6)
+        got = [g.images for g in subnormalizer_set(G, x)]
+        assert got == [g.images for g in double_coset_subnormalizer_set(G, x)]
+
+    def test_members_pass_the_coset_filter(self, oracle_groups):
+        """For every member g and prime q of o(x), <x_q, x_q^g> is a
+        q-group: the condition the scan's coset filter relies on.  The
+        identity has no primes, and all of G is its set."""
+        prime_counts = set()
+        for source, G in oracle_groups.items():
+            for c in conjugacy_classes(G):
+                x = c.representative
+                prime_counts.add(len(prime_factors(x.order())))
+                if x.is_identity():
+                    assert len(subnormalizer_set(G, x)) == G.order
+                for q in prime_factors(x.order()):
+                    xq = sylow_part(x, q)
+                    verdicts = {}
+                    for g in subnormalizer_set(G, x):
+                        conj = xq.conj(g).images
+                        if conj not in verdicts:
+                            verdicts[conj] = is_q_group_generated(
+                                {xq.images, conj}, G.degree, q
+                            )
+                        assert verdicts[conj], (source, x.cycle_string(), g.cycle_string())
+        assert prime_counts == {0, 1, 2}
 
     def test_returns_a_fresh_list(self):
         S4 = named_group("S:4")
