@@ -22,20 +22,12 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
 from .config import TABLE_BOUND
-from .errors import EngineDefect, InvalidArgument
-from .exactnum import (
-    Cyclotomic,
-    FieldFingerprint,
-    field_fingerprint,
-    is_prime,
-    p_part,
-    prime_factors,
-)
+from .errors import EngineDefect
+from .exactnum import Cyclotomic, is_prime, p_part, prime_factors
 from .permgroup import (
     ConjugacyClass,
     PermGroup,
@@ -240,27 +232,6 @@ def _split_common_eigenspaces(mats, q: int, k: int) -> list[list[int]]:
 # ----------------------------------------------------------------------
 # The table.
 
-@dataclass(frozen=True)
-class Character:
-    """One row of a character table."""
-
-    table: "CharacterTable"
-    index: int
-
-    @property
-    def degree(self) -> int:
-        return self.table.degrees[self.index]
-
-    def value_at_class(self, j: int) -> Cyclotomic:
-        return self.table.values[self.index][j]
-
-    def value_at(self, x: Perm) -> Cyclotomic:
-        return self.value_at_class(self.table.class_index(x))
-
-    def __repr__(self):
-        return f"Character(#{self.index}, degree {self.degree})"
-
-
 class CharacterTable:
     """Exact character table: rows are irreducible characters (row 0 is the
     principal character), columns are conjugacy classes in canonical order."""
@@ -278,12 +249,6 @@ class CharacterTable:
 
     def class_index(self, x: Perm) -> int:
         return class_index_of(self.group, x)
-
-    def characters(self) -> list[Character]:
-        return [Character(self, i) for i in range(self.k)]
-
-    def value(self, i: int, j: int) -> Cyclotomic:
-        return self.values[i][j]
 
     def to_json_dict(self) -> dict:
         return {
@@ -512,23 +477,17 @@ def _verify_table(T: CharacterTable):
 
 
 # ----------------------------------------------------------------------
-# Character-set extractors.
+# Character-set extractors: row indices of the table.
 
-def irr_pprime(T: CharacterTable, p: int) -> list[Character]:
-    """Characters of degree coprime to p."""
-    return [Character(T, i) for i, d in enumerate(T.degrees) if d % p]
-
-
-def irr_nonvanishing_at(T: CharacterTable, x: Perm) -> list[Character]:
-    """Characters that do not vanish at x."""
-    j = T.class_index(x)
-    return [Character(T, i) for i in range(T.k) if not T.values[i][j].is_zero()]
+def irr_pprime(T: CharacterTable, p: int) -> list[int]:
+    """Rows of degree coprime to p."""
+    return [i for i, d in enumerate(T.degrees) if d % p]
 
 
 def irr_nonvanishing_on(
     T: CharacterTable, S: PermGroup, nonidentity_only: bool = False
-) -> list[Character]:
-    """Characters not vanishing at some element of the subgroup S.
+) -> list[int]:
+    """Rows not vanishing at some element of the subgroup S.
 
     With the identity included (the literal reading) this is all of Irr(G);
     ``nonidentity_only`` quantifies over S minus the identity instead.
@@ -538,11 +497,7 @@ def irr_nonvanishing_on(
         if nonidentity_only and s.is_identity():
             continue
         class_idxs.add(T.class_index(s))
-    return [
-        Character(T, i)
-        for i in range(T.k)
-        if any(not T.values[i][j].is_zero() for j in class_idxs)
-    ]
+    return [i for i in range(T.k) if any(not T.values[i][j].is_zero() for j in class_idxs)]
 
 
 def cd(T: CharacterTable) -> tuple[int, ...]:
@@ -553,10 +508,3 @@ def cd(T: CharacterTable) -> tuple[int, ...]:
 def cd_p(T: CharacterTable, p: int) -> tuple[int, ...]:
     """Set of p-parts of the irreducible character degrees, ascending."""
     return tuple(sorted({p_part(d, p) for d in T.degrees}))
-
-
-def field_of_value(T: CharacterTable, chi: Character, x: Perm) -> FieldFingerprint:
-    """Fingerprint of Q(chi(x)) at modulus m = order(x)."""
-    if chi.table is not T:
-        raise InvalidArgument("character belongs to a different table")
-    return field_fingerprint(chi.value_at(x), x.order())

@@ -186,7 +186,9 @@ def _cache_meta(G: PermGroup, p: int) -> dict:
     }
 
 
-def _cache_load(key: str, G: PermGroup, p: int) -> dict | None:
+def _cache_load(key: str, G: PermGroup, p: int, label: str) -> list[dict] | None:
+    """The stored reports, if the entry's meta matches G and p and its
+    reports are a nonempty list of dicts for ``label`` at p; else None."""
     d = _cache_dir()
     if d is None:
         return None
@@ -199,7 +201,13 @@ def _cache_load(key: str, G: PermGroup, p: int) -> dict | None:
         return None
     if not isinstance(stored, dict) or stored.get("meta") != _cache_meta(G, p):
         return None
-    return stored.get("report")
+    report = stored.get("report")
+    if not isinstance(report, list) or not report:
+        return None
+    for r in report:
+        if not isinstance(r, dict) or r.get("group") != label or r.get("prime") != p:
+            return None
+    return report
 
 
 def _cache_store(key: str, G: PermGroup, p: int, report: dict):
@@ -229,7 +237,7 @@ def _entry_reports(entry: CatalogEntry, timings: bool) -> list[dict]:
     for p in entry.effective_primes(G):
         # Cached reports carry no timings, so --timings neither reads nor writes them.
         key = _cache_key(entry, G, p, "all", "all")
-        cached = None if timings else _cache_load(key, G, p)
+        cached = None if timings else _cache_load(key, G, p, entry.label)
         if cached is not None:
             out.extend(cached)
             continue
@@ -243,10 +251,12 @@ def _entry_reports(entry: CatalogEntry, timings: bool) -> list[dict]:
 
 def run_batch(catalog_path: str, jobs: int = 1, timings: bool = False) -> dict:
     entries = load_catalog(catalog_path)
-    if jobs <= 1:
+    # The pool starts all its workers at once: no more than there are entries.
+    workers = min(jobs, len(entries))
+    if workers <= 1:
         per_entry = [_entry_reports(e, timings) for e in entries]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_entry = list(pool.map(_entry_reports, entries, [timings] * len(entries)))
     reports: list[dict] = []
     for chunk in per_entry:
@@ -373,6 +383,13 @@ def _prime(text: str) -> int:
     return int(text)
 
 
+def _jobs(text: str) -> int:
+    """The argparse type of --jobs: a worker count of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a worker count of at least 1")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to a file instead of stdout")
@@ -419,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bt = sub.add_parser("batch", parents=[common], help="run every check over a catalog")
     bt.add_argument("catalog", help="catalog JSON path, or bundled name: small, full")
-    bt.add_argument("--jobs", type=int, default=1)
+    bt.add_argument("--jobs", type=_jobs, default=1)
     bt.set_defaults(fn=_cmd_batch)
 
     for timed in (c, bt):

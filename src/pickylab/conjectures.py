@@ -94,41 +94,30 @@ class CheckReport:
 VARIANTS = ("plain", "strong", "ppart")
 
 
-@dataclass(frozen=True)
-class BijectionSignature:
-    """Multiset of per-character signature tuples for one side of a
-    bijection statement."""
+def signatures(T: CharacterTable, x: Perm, p: int) -> dict[str, tuple]:
+    """The signature multisets of Irr^x in every variant, ``degree`` first:
+    variant -> the sorted per-character tuples, one per character of T not
+    vanishing at x, all built in one pass over the column of x."""
+    j = T.class_index(x)
+    m = x.order()
+    items: dict[str, list] = {variant: [] for variant in ("degree",) + VARIANTS}
+    for d, row in zip(T.degrees, T.values):
+        v = row[j]
+        if v.is_zero():
+            continue
+        dp = p_part(d, p)
+        fp = field_fingerprint(v, m)
+        e = algebraic_p_part(v, p).exponent
+        items["degree"].append((dp,))
+        items["plain"].append((dp, fp.modulus, fp.stabilizer))
+        items["strong"].append((dp, max(v.to_string(), (-v).to_string())))
+        items["ppart"].append((dp, (e.numerator, e.denominator)))
+    return {variant: tuple(sorted(its)) for variant, its in items.items()}
 
-    variant: str
-    multiset: tuple
 
-    @classmethod
-    def build(cls, T: CharacterTable, x: Perm, p: int, variant: str) -> "BijectionSignature":
-        j = T.class_index(x)
-        m = x.order()
-        items = []
-        for i in range(T.k):
-            v = T.values[i][j]
-            if v.is_zero():
-                continue
-            dp = p_part(T.degrees[i], p)
-            if variant == "degree":
-                items.append((dp,))
-            elif variant == "plain":
-                fp = field_fingerprint(v, m)
-                items.append((dp, fp.modulus, fp.stabilizer))
-            elif variant == "strong":
-                items.append((dp, max(v.to_string(), (-v).to_string())))
-            elif variant == "ppart":
-                e = algebraic_p_part(v, p).exponent
-                items.append((dp, (e.numerator, e.denominator)))
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-        return cls(variant=variant, multiset=tuple(sorted(items)))
-
-    def to_json(self):
-        counts = Counter(self.multiset)
-        return [[_jsonify(sig), n] for sig, n in sorted(counts.items())]
+def _counted(multiset: tuple) -> list:
+    """A signature multiset as sorted [signature, count] pairs, for JSON."""
+    return [[_jsonify(sig), n] for sig, n in sorted(Counter(multiset).items())]
 
 
 def _jsonify(obj):
@@ -142,12 +131,9 @@ def _compare(G, T, H, x, p, variant) -> tuple[dict, bool]:
     variant, with the structural implications asserted.  Returns the
     comparison entry and whether ``variant`` matches; a mismatch is
     re-verified from scratch before it is returned."""
-    TH = character_table(H)
-    sides = {
-        v: (BijectionSignature.build(T, x, p, v), BijectionSignature.build(TH, x, p, v))
-        for v in ("degree",) + VARIANTS
-    }
-    equal = {v: sg.multiset == sh.multiset for v, (sg, sh) in sides.items()}
+    left = signatures(T, x, p)
+    right = signatures(character_table(H), x, p)
+    equal = {v: left[v] == right[v] for v in left}
     # strong refines both ppart and plain, which refine the degree clause.
     if equal["strong"] and not (equal["ppart"] and equal["plain"]):
         raise EngineDefect("strong signatures match but a coarsening does not")
@@ -155,8 +141,8 @@ def _compare(G, T, H, x, p, variant) -> tuple[dict, bool]:
         raise EngineDefect("refined signatures match but degree p-parts do not")
     entry = {
         "comparison": {
-            v: {"equal": equal[v], "left": sg.to_json(), "right": sh.to_json()}
-            for v, (sg, sh) in sides.items()
+            v: {"equal": equal[v], "left": _counted(left[v]), "right": _counted(right[v])}
+            for v in left
         }
     }
     if not equal[variant]:
@@ -173,9 +159,7 @@ def _reverify_mismatch(G, H, x, p, variant) -> bool:
     """Recompute both multisets from scratch and confirm they still differ."""
     TG = _table_from_scratch(_fresh(G))
     TH = _table_from_scratch(_fresh(H))
-    sg = BijectionSignature.build(TG, x, p, variant)
-    sh = BijectionSignature.build(TH, x, p, variant)
-    return sg.multiset != sh.multiset
+    return signatures(TG, x, p)[variant] != signatures(TH, x, p)[variant]
 
 
 # ----------------------------------------------------------------------

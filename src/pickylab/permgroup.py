@@ -399,10 +399,7 @@ class PermGroup:
     @property
     def chain(self) -> _Chain:
         if self._chain is None:
-            ch = _Chain(self.degree)
-            for g in self.generators:
-                ch.insert(g.images)
-            self._chain = ch
+            self._chain = _generated_chain(self)
         return self._chain
 
     @property
@@ -457,19 +454,26 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
 
+def _generated_chain(G: PermGroup, stop_at: int | None = None) -> _Chain:
+    """G's generators inserted in order with ``stop_at`` (see
+    ``_Chain.insert``), until the chain's order reaches it."""
+    ch = _Chain(G.degree)
+    for g in G.generators:
+        if stop_at is not None and ch.order() >= stop_at:
+            break
+        ch.insert(g.images, stop_at)
+    return ch
+
+
 def check_order_bound(G: PermGroup, bound: int, what: str) -> None:
     """Raise ScaleExceeded if |G| > bound, without building the chain of a
-    group that large: an unbuilt chain is grown from G's generators, in the
-    order ``G.chain`` uses, with ``stop_at = bound + 1``.  It is kept on G
-    only if it never stopped (its order stayed within the bound), and is
-    then the chain ``G.chain`` would have built."""
+    group that large: an unbuilt chain is grown by ``_generated_chain`` with
+    ``stop_at = bound + 1``.  It is kept on G only if it never stopped (its
+    order stayed within the bound), and is then the chain ``G.chain`` would
+    have built."""
     ch = G._chain
     if ch is None:
-        ch = _Chain(G.degree)
-        for g in G.generators:
-            if ch.order() > bound:
-                break
-            ch.insert(g.images, bound + 1)
+        ch = _generated_chain(G, bound + 1)
         if ch.order() <= bound:
             G._chain = ch
     if ch.order() > bound:

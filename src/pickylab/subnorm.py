@@ -6,21 +6,27 @@ descending normal-closure series K >= <H^K> >= <H^<H^K>> >= ... terminates
 at H, and the subnormalizer set S_G(<x>) collects the g with <x> subnormal
 in <x, g>.
 
-A p-subgroup A of K is subnormal in K exactly when its normal closure
-<A^K> is a p-group (Wielandt, Math. Z. 45, 1939; Isaacs, Finite Group
+A q-subgroup A of K is subnormal in K exactly when its normal closure
+<A^K> is a q-group (Wielandt, Math. Z. 45, 1939; Isaacs, Finite Group
 Theory, AMS 2008, ch. 2):
 
-* if A = A_0 <| A_1 <| ... <| A_r = K, then A <= O_p(A_(r-1)) by
-  induction on r, a p-subgroup characteristic in A_(r-1) <| K and so
-  normal in K; hence A <= O_p(K), and <A^K> <= O_p(K) is a p-group;
-* if <A^K> is a p-group, A is subnormal in it, as in every nilpotent
+* if A = A_0 <| A_1 <| ... <| A_r = K, then A <= O_q(A_(r-1)) by
+  induction on r, a q-subgroup characteristic in A_(r-1) <| K and so
+  normal in K; hence A <= O_q(K), and <A^K> <= O_q(K) is a q-group;
+* if <A^K> is a q-group, A is subnormal in it, as in every nilpotent
   group, and <A^K> is normal in K.
 
-So for a p-element x one closure decides, built only until its order
-passes |G|_p: a closure that large is no p-group.  The commutator
-[x, g] = x^-1 x^g lies in the normal closure of <x> in <x, g>, so a g with
-[x, g] not a p-element is rejected without one.  Seeds of other orders run
-the descending series.
+For any x, let x_q be the q-part of x for each prime q of o(x).  Then <x>
+is subnormal in H exactly when every <x_q> is:
+
+* if <x> is subnormal in H, so is each <x_q>, normal in the abelian <x>;
+* if each <x_q> is, each lies in O_q(H), so <x> lies in the nilpotent
+  normal subgroup generated by these O_q(H), where it is subnormal.
+
+So one closure per prime decides, each built only until its order passes
+|G|_q: a closure that large is no q-group.  The commutator
+[x_q, g] = x_q^-1 x_q^g lies in the normal closure of <x_q> in <x, g>, so a
+g with [x_q, g] not a q-element is rejected without one.
 
 Four maps of G leave the verdict for <x, g> unchanged:
 
@@ -35,11 +41,10 @@ again, so the orbits are computed without a map of its own for it.
 Centralizing or <x>-normalizing elements are accepted without a closure.
 
 The scan walks only the right cosets N u of N = N_G(<x>) that can hold
-members.  For each prime q of o(x) let x_q be the q-part of x; <x_q> is
-characteristic in <x>.  If <x> is subnormal in <x, g>, so is <x_q>, since
-subnormality passes to intermediate subgroups; then x_q lies in the normal
-subgroup O_q(<x, g>), which also holds x_q^g, so <x_q, x_q^g> is a q-group
-in which <x_q> is subnormal.  For n in N, x_q^n generates <x_q>, so
+members.  If <x> is subnormal in <x, g>, so is <x_q>, since subnormality
+passes to intermediate subgroups; then x_q lies in the normal subgroup
+O_q(<x, g>), which also holds x_q^g, so <x_q, x_q^g> is a q-group in which
+<x_q> is subnormal.  For n in N, x_q^n generates <x_q>, so
 <x_q, x_q^(n u)> = <x_q, x_q^u>: one test per prime decides the condition
 for the whole coset.  N and the transversal come from one orbit of <x>
 under conjugation.  The identity has no primes and keeps its one coset, G.
@@ -65,7 +70,6 @@ from .permgroup import (
     _orbit,
     _orbit_stabilizer,
     _p_power_part,
-    _Chain,
     check_order_bound,
     conjugacy_classes,
     extended_group,
@@ -81,49 +85,15 @@ from .permgroup import (
 # ----------------------------------------------------------------------
 # Subnormality.
 
-def _is_subnormal_tuples(
-    seed_tuples, seed_order: int, group_gens, degree: int, group_order: int
-) -> bool:
-    """<seeds> subnormal in <group_gens>, a subgroup of a group of order
-    ``group_order``.  For seeds of p-power order by one normal closure,
-    stopped once its order passes the p-part of ``group_order``; otherwise
-    by the descending series."""
-    p = prime_of_power(seed_order)
-    if p is None:
-        return _descending_series(seed_tuples, seed_order, group_gens, degree)
-    bound = p_part(group_order, p)
+def _is_subnormal_tuples(seed_tuples, q: int, group_gens, degree: int, group_order: int) -> bool:
+    """The q-group <seeds> subnormal in <group_gens>, a subgroup of a group
+    of order ``group_order``: by one normal closure, stopped once its order
+    passes the q-part of ``group_order``."""
+    bound = p_part(group_order, q)
     closure, _ = normal_closure_chain(group_gens, seed_tuples, degree, bound + 1)
-    # A complete closure's order divides group_order, so it is a p-group
-    # exactly when its order divides the p-part; a stopped one exceeds it.
+    # A complete closure's order divides group_order, so it is a q-group
+    # exactly when its order divides the q-part; a stopped one exceeds it.
     return bound % closure.order() == 0
-
-
-def _descending_series(seed_tuples, seed_order: int, group_gens, degree: int) -> bool:
-    """<seeds> subnormal in <group_gens>, by the descending closure series."""
-    gens = list(group_gens)
-    ch = _Chain(degree)
-    for t in gens:
-        ch.insert(t)
-    order = ch.order()
-    while order != seed_order:
-        ch, gens = normal_closure_chain(gens, seed_tuples, degree)
-        if ch.order() == order:
-            return False
-        order = ch.order()
-    return True
-
-
-def is_subnormal(H: PermGroup, K: PermGroup) -> bool:
-    """Whether H is linked to K by a chain of successive normal subgroups."""
-    if not H.is_subgroup_of(K):
-        raise InvalidArgument("H is not a subgroup of K")
-    return _is_subnormal_tuples(
-        [g.images for g in H.generators] or [tuple(range(K.degree))],
-        H.order,
-        [g.images for g in K.generators],
-        K.degree,
-        K.order,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -131,17 +101,23 @@ def is_subnormal(H: PermGroup, K: PermGroup) -> bool:
 
 def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_order: int) -> bool:
     """Is <x> subnormal in <x, g>?  (x_tuples = all powers of x; x and g
-    lie in a group of order ``group_order``.)"""
+    lie in a group of order ``group_order``.)  One prime of o(x) at a time,
+    in ascending order (see the module docstring)."""
     xt = x.images
     gt = g.images
     xg = _conj(xt, gt)
     # Centralizing or <x>-normalizing elements qualify immediately.
     if xg in x_tuples:
         return True
-    p = prime_of_power(x_order)
-    if p is not None and not is_p_element(Perm(_mul(_inv(xt), xg)), p):
-        return False  # [x, g] lies in the normal closure of <x>
-    return _is_subnormal_tuples([xt], x_order, [xt, gt], len(xt), group_order)
+    for q in prime_factors(x_order):
+        k = x_order // p_part(x_order, q)  # x_q = x^k; k = 1 for a q-element x
+        xq = (x**k).images if k > 1 else xt
+        xqg = _conj(xq, gt) if k > 1 else xg
+        if not is_p_element(Perm(_mul(_inv(xq), xqg)), q):
+            return False  # [x_q, g] lies in the normal closure of <x_q>
+        if not _is_subnormal_tuples([xq], q, [xt, gt], len(xt), group_order):
+            return False
+    return True
 
 
 def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:

@@ -14,14 +14,12 @@ from pickylab.chartab import (
     cd,
     cd_p,
     character_table,
-    field_of_value,
-    irr_nonvanishing_at,
     irr_nonvanishing_on,
     irr_pprime,
 )
 from pickylab.cli import load_catalog
-from pickylab.errors import InvalidArgument, ScaleExceeded
-from pickylab.exactnum import Cyclotomic
+from pickylab.errors import ScaleExceeded
+from pickylab.exactnum import Cyclotomic, field_fingerprint
 from pickylab.permgroup import (
     Perm,
     PermGroup,
@@ -166,29 +164,19 @@ class TestSharedTables:
 class TestExtractors:
     def test_irr_pprime(self):
         T = character_table(named_group("S:4"))
-        assert sorted(c.degree for c in irr_pprime(T, 2)) == [1, 1, 3, 3]
-        assert sorted(c.degree for c in irr_pprime(T, 3)) == [1, 1, 2]
-        assert len(irr_pprime(T, 5)) == T.k  # degrees all divide |G|
-
-    def test_irr_nonvanishing_at(self):
-        T = character_table(named_group("S:4"))
-        x = parse_perm("(1,2,3,4)", 4)
-        nv = irr_nonvanishing_at(T, x)
-        assert sorted(c.degree for c in nv) == [1, 1, 3, 3]
-        assert sorted(c.value_at(x).rational_value() for c in nv) == [-1, -1, 1, 1]
-        assert len(irr_nonvanishing_at(T, Perm.identity(4))) == T.k
-        T3 = character_table(named_group("S:3"))
-        assert len(irr_nonvanishing_at(T3, parse_perm("(1,2)", 3))) == 2
-        with pytest.raises(InvalidArgument):
-            irr_nonvanishing_at(T, parse_perm("(1,2,3,4,5)", 5))
+        assert sorted(T.degrees[i] for i in irr_pprime(T, 2)) == [1, 1, 3, 3]
+        assert sorted(T.degrees[i] for i in irr_pprime(T, 3)) == [1, 1, 2]
+        assert irr_pprime(T, 5) == list(range(T.k))  # degrees all divide |G|
 
     def test_irr_nonvanishing_on(self):
         T3 = character_table(named_group("S:3"))
         S = PermGroup([parse_perm("(1,2)", 3)])
-        assert len(irr_nonvanishing_on(T3, PermGroup([], 3))) == 3
+        assert irr_nonvanishing_on(T3, PermGroup([], 3)) == [0, 1, 2]
         # the identity never vanishes, so the literal reading sees everything
-        assert len(irr_nonvanishing_on(T3, S)) == 3
-        assert len(irr_nonvanishing_on(T3, S, nonidentity_only=True)) == 2
+        assert irr_nonvanishing_on(T3, S) == [0, 1, 2]
+        # the degree-2 row vanishes at the transpositions
+        nonidentity = irr_nonvanishing_on(T3, S, nonidentity_only=True)
+        assert sorted(T3.degrees[i] for i in nonidentity) == [1, 1]
 
     def test_cd(self):
         T = character_table(named_group("S:4"))
@@ -201,28 +189,27 @@ class TestExtractors:
     def test_field_of_value(self):
         # linear character with value -1: rational, full stabilizer
         T3 = character_table(named_group("S:3"))
-        sign = next(c for c in T3.characters() if c.degree == 1 and c.index != 0)
         x = parse_perm("(1,2)", 3)
-        fp = field_of_value(T3, sign, x)
+        j = T3.class_index(x)
+        (sign,) = [row for d, row in zip(T3.degrees[1:], T3.values[1:]) if d == 1]
+        fp = field_fingerprint(sign[j], x.order())
         assert fp.modulus == 2 and len(fp.stabilizer) == 1  # (Z/2)* is trivial
 
         # faithful linear character of C4 takes the value i
-        C4 = named_group("C:4")
-        TC = character_table(C4)
+        TC = character_table(named_group("C:4"))
         g = parse_perm("(1,2,3,4)", 4)
-        faithful = next(
-            c for c in TC.characters() if c.value_at(g) == Cyclotomic.zeta(4)
-        )
-        assert field_of_value(TC, faithful, g).stabilizer == (1,)
+        j = TC.class_index(g)
+        (faithful,) = [row for row in TC.values if row[j] == Cyclotomic.zeta(4)]
+        assert field_fingerprint(faithful[j], g.order()).stabilizer == (1,)
 
         # 2-dimensional character of D16 at the order-8 rotation: sqrt(2)
-        D16 = named_group("D:16")
-        TD = character_table(D16)
+        TD = character_table(named_group("D:16"))
         r = parse_perm("(1,2,3,4,5,6,7,8)", 8)
+        j = TD.class_index(r)
         vals = {
-            field_of_value(TD, c, r).stabilizer
-            for c in TD.characters()
-            if c.degree == 2 and not c.value_at(r).is_zero()
+            field_fingerprint(row[j], r.order()).stabilizer
+            for d, row in zip(TD.degrees, TD.values)
+            if d == 2 and not row[j].is_zero()
         }
         assert (1, 7) in vals
 
@@ -353,13 +340,12 @@ class TestInvariants:
         for label, (G, primes) in small_catalog_groups.items():
             T = character_table(G)
             for p in primes:
-                pprime_rows = {c.index for c in irr_pprime(T, p)}
-                for c in conjugacy_classes(G):
+                pprime_rows = irr_pprime(T, p)
+                for j, c in enumerate(conjugacy_classes(G)):
                     x = c.representative
                     if not any(x.order() == p**k for k in range(8)):
                         continue
-                    nonvanishing = {ch.index for ch in irr_nonvanishing_at(T, x)}
-                    assert pprime_rows <= nonvanishing
+                    assert all(not T.values[i][j].is_zero() for i in pprime_rows)
 
     def test_value_conductors_divide_element_order(self, small_catalog_groups):
         for label, (G, _) in small_catalog_groups.items():

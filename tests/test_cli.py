@@ -324,6 +324,67 @@ class TestBatch:
         third = run_batch(tiny_catalog)
         assert json.dumps(first, sort_keys=True) == json.dumps(third, sort_keys=True)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda report: "not a list",
+            lambda report: [],
+            lambda report: [dict(r, group="Other") for r in report],
+        ],
+        ids=["string", "empty", "other-label"],
+    )
+    def test_tampered_reports_are_misses(self, tiny_catalog, tmp_path, monkeypatch, tamper):
+        """An entry whose meta matches but whose reports are not a nonempty
+        list of this label's reports at this prime is recomputed and
+        rewritten."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PICKYLAB_CACHE", str(cache))
+        cold = json.dumps(run_batch(tiny_catalog), sort_keys=True)
+        written = {f: f.read_text() for f in cache.iterdir()}
+        for f in written:
+            stored = json.loads(f.read_text())
+            stored["report"] = tamper(stored["report"])
+            f.write_text(json.dumps(stored))
+        assert json.dumps(run_batch(tiny_catalog), sort_keys=True) == cold
+        assert {f: f.read_text() for f in cache.iterdir()} == written
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """The max_workers of every pool run_batch starts; the fake pool
+        maps in this process."""
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        return started
+
+    def test_pool_has_no_more_workers_than_entries(self, capsys, tiny_catalog, pools):
+        sequential = run_batch(tiny_catalog)
+        assert pools == []
+        assert run_batch(tiny_catalog, jobs=64) == sequential
+        code, out, _ = invoke(capsys, "batch", tiny_catalog, "--jobs", "64")
+        assert code == EXIT_OK and json.loads(out) == sequential
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, tiny_catalog, pools, jobs):
+        code, out, err = invoke(capsys, "batch", tiny_catalog, "--jobs", jobs)
+        assert code == EXIT_ERROR and out == ""
+        assert "--jobs" in err
+        assert pools == []
+
     def test_check_and_batch_take_timings(self, capsys, tiny_catalog):
         for argv in (["check", "mckay", "S:3", "-p", "2"], ["batch", tiny_catalog]):
             code, out, _ = invoke(capsys, *argv, "--timings")
@@ -362,19 +423,19 @@ class TestCacheEntries:
         from pickylab.permgroup import named_group
 
         G = named_group("S:4")
-        report = [{"check": "stub"}]
+        report = [{"check": "stub", "group": "S4", "prime": 2}]
         cli._cache_store("k", G, 2, report)
         entry = cache / "k.json"
         stored = json.loads(entry.read_text())
         assert set(stored["meta"]) == {"order", "class_count", "sylow_order"}
-        assert cli._cache_load("k", G, 2) == report
+        assert cli._cache_load("k", G, 2, "S4") == report
         for field in stored["meta"]:
             tampered = json.loads(json.dumps(stored))
             tampered["meta"][field] += 1
             entry.write_text(json.dumps(tampered))
-            assert cli._cache_load("k", G, 2) is None, field
+            assert cli._cache_load("k", G, 2, "S4") is None, field
         entry.write_text(json.dumps(stored))
-        assert cli._cache_load("k", G, 2) == report
+        assert cli._cache_load("k", G, 2, "S4") == report
 
     def test_failed_write_leaves_nothing_behind(self, cache, monkeypatch):
         from pickylab.permgroup import named_group

@@ -6,7 +6,6 @@ import pytest
 from pickylab import conjectures
 from pickylab.chartab import character_table
 from pickylab.conjectures import (
-    BijectionSignature,
     CheckReport,
     check_alperin_c,
     check_chain_conjecture,
@@ -22,6 +21,7 @@ from pickylab.conjectures import (
     check_vanishing_proposition,
     run_all_checks,
     run_check,
+    signatures,
     _reverify_mismatch,
 )
 from pickylab.errors import InvalidArgument
@@ -181,14 +181,14 @@ class TestSignatures:
     def test_s4_signatures_at_4_cycle(self):
         T = character_table(named_group("S:4"))
         x = parse_perm("(1,2,3,4)", 4)
-        strong = BijectionSignature.build(T, x, 2, "strong")
+        sig = signatures(T, x, 2)
+        assert list(sig) == ["degree", "plain", "strong", "ppart"]
         # four characters, all with odd degree and value +-1: one canonical
         # sign class, so the multiset is four copies of the same signature
-        assert strong.multiset == ((1, "c_1(0:1)"),) * 4
-        plain = BijectionSignature.build(T, x, 2, "plain")
-        assert all(item[0] == 1 and item[1] == 4 for item in plain.multiset)
-        ppart = BijectionSignature.build(T, x, 2, "ppart")
-        assert ppart.multiset == ((1, (0, 1)),) * 4
+        assert sig["strong"] == ((1, "c_1(0:1)"),) * 4
+        assert all(item[0] == 1 and item[1] == 4 for item in sig["plain"])
+        assert sig["ppart"] == ((1, (0, 1)),) * 4
+        assert sig["degree"] == ((1,),) * 4
 
     def test_strong_side_by_side(self):
         # the fixture comparison: S4 vs its Sylow 2-normalizer at a 4-cycle
@@ -199,9 +199,7 @@ class TestSignatures:
         _, N = sylow_containing(S4, 2, x)
         TG = character_table(S4)
         TN = character_table(N)
-        sg = BijectionSignature.build(TG, x, 2, "strong")
-        sn = BijectionSignature.build(TN, x, 2, "strong")
-        assert sg.multiset == sn.multiset
+        assert signatures(TG, x, 2)["strong"] == signatures(TN, x, 2)["strong"]
 
 
 class TestPickyConjecture:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from pickylab.blocks import block_partition
 from pickylab.chartab import _build_table
 from pickylab.cli import load_catalog
-from pickylab.conjectures import VARIANTS, BijectionSignature
+from pickylab.conjectures import signatures
 from pickylab.permgroup import Perm, conjugacy_classes, sylow_data
 from pickylab.subnorm import chain_length, p_element_class_representatives, subnormalizer_subgroup
 
@@ -52,13 +52,7 @@ def invariants(G, primes):
         data = sylow_data(G, p)
         reps = p_element_class_representatives(G, p)
         subnormalizers = sorted((x.cycle_type(), subnormalizer_subgroup(G, x).order) for x in reps)
-        signatures = sorted(
-            (
-                x.cycle_type(),
-                [BijectionSignature.build(T, x, p, v).multiset for v in ("degree",) + VARIANTS],
-            )
-            for x in reps
-        )
+        multisets = sorted((x.cycle_type(), list(signatures(T, x, p).items())) for x in reps)
         per_prime[p] = (
             data.count,
             data.normalizer.order,
@@ -66,7 +60,7 @@ def invariants(G, primes):
             # From P itself the recursion passes through more subgroups.
             chain_length(G, data.subgroup),
             subnormalizers,
-            signatures,
+            multisets,
         )
     return G.order, classes, per_prime, table_invariants(T, primes)
 

@@ -2,11 +2,15 @@
 
 The brute-force oracles here work purely with element sets (saturation
 closures), never with stabilizer chains, so they are independent of the
-engine they check.  Two further oracles reuse engine parts on purpose: the
-double-coset scan calls the engine's subnormality test, so it checks only
-the coset filter and orbit reduction of the scan, and the Wielandt check
-takes O_p from the engine's Sylow data, which is independent of the
-closure series."""
+engine they check.  Three further oracles reuse engine parts on purpose:
+the descending closure series builds its closures with the engine's
+``normal_closure_chain`` but decides by the definition, not by the
+per-prime rule; the double-coset scan calls the engine's subnormality
+test, so it checks only the coset filter and orbit reduction of the scan;
+and the Wielandt check takes O_p from the engine's Sylow data, which is
+independent of the closure series."""
+
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +23,20 @@ from pickylab.exactnum import p_adic_valuation, prime_factors
 from pickylab.permgroup import (
     Perm,
     PermGroup,
+    _Chain,
     _mul,
     conjugacy_classes,
     extended_group,
     named_group,
+    normal_closure_chain,
     normalizer,
     parse_perm,
     sylow_data,
 )
 from pickylab.subnorm import (
-    _descending_series,
     _subnormal_in_generated,
     chain_length,
     covering_analysis,
-    is_subnormal,
     p_element_class_representatives,
     picky_class_representatives,
     picky_report,
@@ -85,6 +89,32 @@ def brute_is_subnormal(h_seed, k_set, degree):
         if nxt == cur:
             return False
         cur = nxt
+
+
+def descending_series(seed_tuples, seed_order, group_gens, degree):
+    """<seeds> subnormal in <group_gens>, by the descending closure series:
+    the definition, for seeds of any order."""
+    gens = list(group_gens)
+    ch = _Chain(degree)
+    for t in gens:
+        ch.insert(t)
+    order = ch.order()
+    while order != seed_order:
+        ch, gens = normal_closure_chain(gens, seed_tuples, degree)
+        if ch.order() == order:
+            return False
+        order = ch.order()
+    return True
+
+
+def series_is_subnormal(H, K):
+    """H subnormal in K, for H a subgroup of K, by the descending series."""
+    return descending_series(
+        [g.images for g in H.generators] or [tuple(range(K.degree))],
+        H.order,
+        [g.images for g in K.generators],
+        K.degree,
+    )
 
 
 def brute_subnormalizer_set(G, x):
@@ -205,46 +235,54 @@ def oracle_groups():
 
 
 class TestIsSubnormal:
+    """The descending-series oracle against the set-based one, and, for
+    cyclic subgroups, the engine's per-prime rule against both."""
+
     def test_normal_subgroup(self):
         A4 = named_group("A:4")
         V = PermGroup([parse_perm("(1,2)(3,4)", 4), parse_perm("(1,3)(2,4)", 4)])
-        assert is_subnormal(V, A4)
+        assert series_is_subnormal(V, A4)
 
     def test_two_step_chain(self):
         A4 = named_group("A:4")
         H = PermGroup([parse_perm("(1,2)(3,4)", 4)])
-        assert is_subnormal(H, A4)  # <x> normal in V normal in A4
+        assert series_is_subnormal(H, A4)  # <x> normal in V normal in A4
 
     def test_not_subnormal(self):
         S3 = named_group("S:3")
         H = PermGroup([parse_perm("(1,2)", 3)])
-        assert not is_subnormal(H, S3)
+        assert not series_is_subnormal(H, S3)
 
     def test_equal_groups(self):
         S3 = named_group("S:3")
-        assert is_subnormal(S3, S3)
+        assert series_is_subnormal(S3, S3)
 
     def test_trivial_subgroup(self):
-        assert is_subnormal(PermGroup([], 4), named_group("S:4"))
-
-    def test_requires_containment(self):
-        with pytest.raises(InvalidArgument):
-            is_subnormal(PermGroup([parse_perm("(1,2)", 4)]), named_group("A:4"))
+        assert series_is_subnormal(PermGroup([], 4), named_group("S:4"))
 
     def test_against_brute_force(self):
-        S4 = named_group("S:4")
-        for xs, gs in [("(1,2)", "(3,4)"), ("(1,2)", "(1,3)"), ("(1,2)(3,4)", "(1,2,3)"),
-                       ("(1,2,3,4)", "(1,3)"), ("(1,2,3)", "(1,2)")]:
-            x = parse_perm(xs, 4)
-            g = parse_perm(gs, 4)
+        for xs, gs, degree in [
+            ("(1,2)", "(3,4)", 4), ("(1,2)", "(1,3)", 4), ("(1,2)(3,4)", "(1,2,3)", 4),
+            ("(1,2,3,4)", "(1,3)", 4), ("(1,2,3)", "(1,2)", 4),
+            # Mixed orders.  <x, g> = C2 x S3: both parts subnormal.
+            ("(1,2)(3,4,5)", "(3,4)", 5),
+            # C2 x A4: the 2-part is central, the 3-part is not subnormal.
+            ("(1,2)(3,4,5)", "(3,4)(5,6)", 6),
+            # S3 x C3: the 3-part is central, the 2-part is not subnormal.
+            ("(1,2)(4,5,6)", "(1,3)", 6),
+        ]:
+            x = parse_perm(xs, degree)
+            g = parse_perm(gs, degree)
             K = PermGroup([x, g])
             expected = brute_is_subnormal(
-                {x.images}, set_closure({x.images, g.images}, 4), 4
+                {x.images}, set_closure({x.images, g.images}, degree), degree
             )
-            assert is_subnormal(PermGroup([x]), K) == expected
+            assert series_is_subnormal(PermGroup([x]), K) == expected
+            powers = frozenset((x**k).images for k in range(x.order()))
+            verdict = _subnormal_in_generated(x, powers, x.order(), g, factorial(degree))
+            assert verdict == expected, (xs, gs)
 
     def test_subgroups_that_are_not_p_groups(self):
-        # These run the descending series, not the p-group closure.
         cases = [
             # C2 x C3 < V x C3 < A4 x C3: subnormal in two steps.
             ("(1,2)(3,4) (5,6,7)", "(1,2)(3,4) (1,2,3) (5,6,7)", 7, True),
@@ -261,7 +299,7 @@ class TestIsSubnormal:
             assert len(prime_factors(H.order)) > 1
             k_set = frozenset(g.images for g in K.elements())
             assert brute_is_subnormal({g.images for g in H.generators}, k_set, degree) == expected
-            assert is_subnormal(H, K) == expected, h_gens
+            assert series_is_subnormal(H, K) == expected, h_gens
 
 
 class TestSubnormalizerSet:
@@ -282,8 +320,8 @@ class TestSubnormalizerSet:
         for name, elements in [
             ("S:4", ["(1,2)", "(1,2,3,4)", "(1,2)(3,4)", "(1,2,3)"]),
             ("A:4", ["(1,2)(3,4)", "(1,2,3)"]),
-            # (1,2,3,4,5,6) and (1,2)(3,4,5) have mixed order, so their
-            # orbit tests run the descending series, not the p-group closure.
+            # (1,2,3,4,5,6) and (1,2)(3,4,5) have mixed order: their orbit
+            # tests build one closure per prime.
             ("D:12", ["(1,4)(2,5)(3,6)", "(1,3,5)(2,4,6)", "(1,2,3,4,5,6)"]),
             ("S:5", ["(1,2)(3,4,5)"]),
         ]:
@@ -437,31 +475,35 @@ class TestOrbitScanOracle:
 
 def series_subnormalizer_set(G, x):
     """Every g with <x> subnormal in <x, g> by the descending closure
-    series alone: no quick accept, commutator check or p-group closure."""
+    series alone: no quick accept, commutator check or per-prime closure."""
     xt = x.images
     return [
-        g for g in G.elements() if _descending_series([xt], x.order(), [xt, g.images], G.degree)
+        g for g in G.elements() if descending_series([xt], x.order(), [xt, g.images], G.degree)
     ]
 
 
 class TestClosureCriterion:
-    """For a p-element x, one normal closure of <x> in <x, g>, stopped past
-    |G|_p, against the descending closure series."""
+    """The per-prime rule, one normal closure of <x_q> in <x, g> per prime q
+    of o(x), each stopped past |G|_q, against the descending closure
+    series."""
 
-    def test_every_p_element_class_representative(self, oracle_groups):
+    def test_every_nonidentity_class_representative(self, oracle_groups):
         verdicts = set()
+        prime_counts = set()
         for source, G in oracle_groups.items():
-            for p in prime_factors(G.order):
-                for x in p_element_class_representatives(G, p):
-                    powers = frozenset((x**k).images for k in range(x.order()))
-                    got = [
-                        g for g in G.elements()
-                        if _subnormal_in_generated(x, powers, x.order(), g, G.order)
-                    ]
-                    want = series_subnormalizer_set(G, x)
-                    assert got == want, (source, x.cycle_string())
-                    verdicts.add(len(got) == G.order)
+            for c in conjugacy_classes(G)[1:]:
+                x = c.representative
+                powers = frozenset((x**k).images for k in range(x.order()))
+                got = [
+                    g for g in G.elements()
+                    if _subnormal_in_generated(x, powers, x.order(), g, G.order)
+                ]
+                want = series_subnormalizer_set(G, x)
+                assert got == want, (source, x.cycle_string())
+                verdicts.add(len(got) == G.order)
+                prime_counts.add(len(prime_factors(x.order())))
         assert verdicts == {True, False}
+        assert prime_counts == {1, 2}
 
     @given(
         st.integers(2, 6).flatmap(
