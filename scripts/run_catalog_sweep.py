@@ -11,13 +11,13 @@ import sys
 import time
 from collections import Counter, defaultdict
 
-from pickylab.cli import exit_code_for, run_batch
+from pickylab.cli import _jobs, exit_code_for, run_batch
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--catalog", default="full", help="bundled name (small, full) or a path")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=_jobs, default=1)
     ap.add_argument("--out", help="write the full JSON report here")
     args = ap.parse_args()
 

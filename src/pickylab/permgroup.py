@@ -341,16 +341,20 @@ class _Chain:
         transversals = [
             [lvl.orbit[pt][0] for pt in sorted(lvl.orbit)] for lvl in self.levels
         ]
-
-        def rec(i, acc):
-            if i < 0:
-                yield acc
-                return
-            for u in transversals[i]:
-                yield from rec(i - 1, _mul(acc, u))
-
         # Deepest level first so that each element is stab-part * transversal.
-        yield from rec(len(self.levels) - 1, ident)
+        return _transversal_products(transversals, len(transversals) - 1, ident)
+
+
+def _transversal_products(transversals, i: int, acc: tuple[int, ...]):
+    """acc * u_i * u_(i-1) * ... * u_0 for every choice of u_j in
+    transversals[j], with j = 0 varying fastest.  A module-level
+    generator, so that no closure refers to itself and each walk is freed
+    without the cyclic collector."""
+    if i < 0:
+        yield acc
+        return
+    for u in transversals[i]:
+        yield from _transversal_products(transversals, i - 1, _mul(acc, u))
 
 
 class PermGroup:

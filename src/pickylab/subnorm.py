@@ -315,17 +315,25 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
     """Maximal length t of a strictly increasing subgroup chain
     N = H_0 < H_1 < ... < H_t = G.
 
-    For H < G, longest(H) = 1 + max longest(<H, g>) over g outside H, one g
-    per right coset Hg (<H, g> depends only on Hg).  Each <H, g> starts a
-    chain from H, so the right side is at most longest(H); the first step
-    H_1 of a longest chain contains some <H, g>, whose longest chain is at
-    least as long as that of H_1, so the right side is at least
-    longest(H).  This agrees with the recursion over minimal overgroups,
-    and visits the same subgroups: every subgroup between N and G is
-    reached by minimal steps, and every <H, g> lies between N and G.
+    For H < G, longest(H) = 1 + max longest(<H, g>) over g outside H.  Each
+    <H, g> starts a chain from H, so the right side is at most longest(H);
+    the first step H_1 of a longest chain contains some <H, g>, whose
+    longest chain is at least as long as that of H_1, so the right side is
+    at least longest(H).  This agrees with the recursion over minimal
+    overgroups, and visits the same subgroups: every subgroup between N and
+    G is reached by minimal steps, and every <H, g> lies between N and G.
 
-    When the coset Hg is scanned, every H g^k with k prime to the order of
-    g is marked as scanned too: g is a power of g^k, so <H, g^k> = <H, g>.
+    One g is built per double coset H g H, and with it every H g^k H for k
+    prime to the order of g is marked as scanned: for h, h' in H,
+    <H, h g^k h'> = <H, g^k> since h and h' lie in H, and <H, g^k> = <H, g>
+    since g^k and g are powers of each other.  A double coset H a H is the
+    union of the right cosets H a h, h in H, and every h is a product of
+    H's generators, so the walk from H a by right multiplication with the
+    generators reaches all of them.  Each right coset H b is filled by
+    calling one prebuilt ``itemgetter(*h)`` per h in H on b, since
+    ``itemgetter(*h)(b)`` is h b: every product is one C call, with no
+    per-point Python loop.
+
     Most <H, g> are G itself, so each is built with ``stop_at = |G|`` (see
     ``_Chain.insert``) and ends as soon as it reaches that order.  Subgroups
     are told apart by order plus containment (``find_same_subgroup``); only
@@ -334,41 +342,60 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
     check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
-    g_elements = G.elements()
     memo: dict[int, list[tuple[PermGroup, int]]] = {}  # order -> (K, longest(K))
+    return _longest(N, G.order, G.elements(), memo)
 
-    def longest(H: PermGroup) -> int:
-        if H.order == G.order:
-            return 0
-        same_order = memo.setdefault(H.order, [])
-        entry = find_same_subgroup(H, same_order, itemgetter(0))
-        if entry is None:
-            found = _overgroups(H)
-            if not found:
-                raise EngineDefect("no overgroup found for a proper subgroup")
-            entry = (H, 1 + max(map(longest, found)))
-            same_order.append(entry)
-        return entry[1]
 
-    def _overgroups(H: PermGroup) -> list[PermGroup]:
-        # <H, g> for one g per right coset Hg, each subgroup once; the
-        # cosets are freed before the recursion goes deeper.
-        h_elements = list(H.chain.iter_elements())
-        seen_cosets = set(h_elements)
-        by_order: dict[int, list[PermGroup]] = {}
-        for g in g_elements:
-            gt = g.images
-            if gt in seen_cosets:
-                continue
-            for gk in _cyclic_generators(gt):
-                seen_cosets.update(_mul(h, gk) for h in h_elements)
-            K = extended_group(H, [g], G.order)
-            same_order = by_order.setdefault(K.order, [])
-            if find_same_subgroup(K, same_order) is None:
-                same_order.append(K)
-        return [K for same_order in by_order.values() for K in same_order]
+def _longest(H: PermGroup, group_order: int, g_elements, memo) -> int:
+    """longest(H) in the group of order ``group_order`` whose elements are
+    ``g_elements``; ``memo`` is shared by one ``chain_length`` call."""
+    if H.order == group_order:
+        return 0
+    same_order = memo.setdefault(H.order, [])
+    entry = find_same_subgroup(H, same_order, itemgetter(0))
+    if entry is None:
+        found = _overgroups(H, group_order, g_elements)
+        if not found:
+            raise EngineDefect("no overgroup found for a proper subgroup")
+        entry = (H, 1 + max(_longest(K, group_order, g_elements, memo) for K in found))
+        same_order.append(entry)
+    return entry[1]
 
-    return longest(N)
+
+def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[PermGroup]:
+    """<H, g> for one g per double coset H g H and its coprime powers, each
+    subgroup once; the cosets are freed before the recursion goes deeper."""
+    h_elements = list(H.chain.iter_elements())
+    seen = set(h_elements)
+    # b -> h b; the degree is at least 2 (H < G), so each getter returns a tuple.
+    left = [itemgetter(*h) for h in h_elements]
+    right = [s.images for s in H.generators]
+    by_order: dict[int, list[PermGroup]] = {}
+    for g in g_elements:
+        gt = g.images
+        if gt in seen:
+            continue
+        for gk in _cyclic_generators(gt):
+            if gk not in seen:  # seen is a union of double cosets
+                _mark_double_coset(gk, left, right, seen)
+        K = extended_group(H, [g], group_order)
+        same_order = by_order.setdefault(K.order, [])
+        if find_same_subgroup(K, same_order) is None:
+            same_order.append(K)
+    return [K for same_order in by_order.values() for K in same_order]
+
+
+def _mark_double_coset(a: tuple[int, ...], left, right, seen: set) -> None:
+    """Add H a H to ``seen``, one right coset H b at a time (``left`` maps b
+    to h b for each h in H; ``right`` holds H's generators)."""
+    seen.update([f(a) for f in left])
+    cosets = [a]
+    for b in cosets:
+        for s in right:
+            c = _mul(b, s)
+            if c not in seen:
+                seen.update([f(c) for f in left])
+                cosets.append(c)
 
 
 def _cyclic_generators(gt: tuple[int, ...]) -> list[tuple[int, ...]]:

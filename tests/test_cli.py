@@ -1,7 +1,10 @@
 """CLI behaviour: subcommands, JSON output, exit codes, catalogs, caching."""
 
 import json
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +386,22 @@ class TestBatch:
         code, out, err = invoke(capsys, "batch", tiny_catalog, "--jobs", jobs)
         assert code == EXIT_ERROR and out == ""
         assert "--jobs" in err
+        assert pools == []
+
+    def test_sweep_script_refuses_jobs_below_one(self, capsys, monkeypatch, tiny_catalog, pools):
+        # The script takes cli's --jobs type: the same usage error and exit
+        # code as `pickylab batch --jobs 0`, and no batch run.
+        _, _, batch_err = invoke(capsys, "batch", tiny_catalog, "--jobs", "0")
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog_sweep.py"
+        argv = [str(script), "--catalog", tiny_catalog, "--jobs", "0"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(script), run_name="__main__")
+        captured = capsys.readouterr()
+        assert exited.value.code == EXIT_ERROR and captured.out == ""
+        assert captured.err.startswith("usage:")
+        message = "argument --jobs: '0' is not a worker count of at least 1"
+        assert captured.err.rstrip().endswith(message) and batch_err.rstrip().endswith(message)
         assert pools == []
 
     def test_check_and_batch_take_timings(self, capsys, tiny_catalog):

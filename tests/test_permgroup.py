@@ -3,9 +3,11 @@ Sylow machinery, derived series, parsing.  The heavy lifting is oracled by
 plain brute force over element sets, which never touches the stabilizer
 chain."""
 
+import gc
 import tracemalloc
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -217,6 +219,32 @@ class TestConstruction:
         assert parse_perm("(1,2)", 4) not in A4
         assert A4.is_subgroup_of(S4)
         assert not S4.is_subgroup_of(A4)
+
+    @pytest.mark.parametrize("source", ["S:5", "D:12", "wr:S:3~C:2", "C:1"])
+    def test_iter_elements_is_the_product_of_the_transversals(self, source):
+        # Deepest level first: u_last * ... * u_0 with level 0 varying
+        # fastest, each transversal in sorted point order.
+        G = named_group(source)
+        transversals = [
+            [lvl.orbit[pt][0] for pt in sorted(lvl.orbit)] for lvl in G.chain.levels
+        ]
+        identity = tuple(range(G.degree))
+        want = [reduce(_mul, combo, identity) for combo in product(*reversed(transversals))]
+        assert list(G.chain.iter_elements()) == want
+        assert len(set(want)) == G.order
+
+    def test_iter_elements_leaves_no_reference_cycles(self):
+        # A walk read to the end or dropped part way (as conjugacy_classes
+        # does) is freed by reference counting alone.
+        G = named_group("S:5")
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(G.chain.iter_elements())) == 120
+            assert len(list(islice(G.chain.iter_elements(), 7))) == 7
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -10,7 +10,9 @@ test, so it checks only the coset filter and orbit reduction of the scan;
 and the Wielandt check takes O_p from the engine's Sylow data, which is
 independent of the closure series."""
 
-from math import factorial
+import gc
+from itertools import groupby
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -622,6 +624,35 @@ def frozenset_chain_length(G, N):
     return longest(N, key_of(N))
 
 
+def double_coset_cover_count(G, H):
+    """The number of overgroups chain_length builds while scanning H < G,
+    by plain sets: G's elements are walked in sorted order, and each g not
+    yet covered counts once and covers h g^k h' for all h, h' in H and k
+    prime to o(g).  The relation g ~ h g^k h' is not transitive (h g^k h'
+    need not have g among its own covered elements), so this is a greedy
+    cover in the scan's order, not a count of the classes of its closure."""
+
+    def compose(p, q):
+        return tuple(q[i] for i in p)
+
+    h_set = set_closure([s.images for s in H.generators], G.degree)
+    covered = set(h_set)
+    count = 0
+    for g in sorted(x.images for x in G.elements()):
+        if g in covered:
+            continue
+        count += 1
+        powers = [g]
+        while powers[-1] != tuple(range(G.degree)):
+            powers.append(compose(powers[-1], g))
+        for k, gk in enumerate(powers, 1):
+            if gcd(k, len(powers)) == 1:
+                for h in h_set:
+                    hg = compose(h, gk)
+                    covered.update(compose(hg, h2) for h2 in h_set)
+    return count
+
+
 class TestChainLength:
     def brute_all_subgroups(self, G):
         """Every subgroup of G, generated from pairs of elements plus a
@@ -681,10 +712,9 @@ class TestChainLength:
             for N in (data.normalizer, data.subgroup):
                 assert chain_length(G, N) == frozenset_chain_length(G, N), (source, p, N)
 
-    def test_power_cosets_are_not_scanned(self, monkeypatch):
-        # <H, g^k> = <H, g> for k prime to the order of g, so the scan skips
-        # H g^k once Hg is done: 503 overgroup builds for S7 at p = 2 from
-        # N_G(P), where one build per right coset made 686.
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """The base group of every overgroup build, in call order."""
         builds = []
 
         def counting(base, extra, stop_at=None):
@@ -692,9 +722,59 @@ class TestChainLength:
             return permgroup.extended_group(base, extra, stop_at)
 
         monkeypatch.setattr(subnorm, "extended_group", counting)
+        return builds
+
+    def test_power_cosets_are_not_scanned(self, monkeypatch):
+        # <H, h g^k h'> = <H, g> for h, h' in H and k prime to the order of
+        # g, so one build covers every such double coset H g^k H.  For S7
+        # at p = 2, seven subgroups are scanned: N_G(P) of order 16 with 24
+        # builds, then overgroups of orders 240, 48, 720, 144, 48 and 48
+        # with 2, 9, 1, 3, 7 and 6, so 24 + 2 + 9 + 1 + 3 + 7 + 6 = 52
+        # builds; each count is the plain-set cover that the next test
+        # checks.  One build per right coset Hg made 686, and one per
+        # family of right cosets H g^k 503.
+        builds = self.counted_builds(monkeypatch)
         G = named_group("S:7")
         assert chain_length(G, sylow_data(G, 2).normalizer) == 3
-        assert len(builds) == 503
+        assert [(H.order, len(list(run))) for H, run in groupby(builds)] == [
+            (16, 24), (240, 2), (48, 9), (720, 1), (144, 3), (48, 7), (48, 6)
+        ]
+        assert len(builds) == 52
+
+    @pytest.mark.parametrize("source", ["S:5", "A:6", "wr:S:3~C:2"])
+    def test_builds_match_the_double_coset_cover(self, monkeypatch, source):
+        # S5 from the trivial group (155 subgroups scanned), the others from
+        # each Sylow normalizer.  The builds for one H are consecutive: the
+        # scan of H ends before the recursion goes deeper.
+        builds = self.counted_builds(monkeypatch)
+        G = named_group(source)
+        if source == "S:5":
+            assert chain_length(G, PermGroup([], 5)) == 5
+        else:
+            for p in prime_factors(G.order):
+                chain_length(G, sylow_data(G, p).normalizer)
+        assert builds
+        for H, run in groupby(builds):
+            assert len(list(run)) == double_coset_cover_count(G, H), (source, H)
+
+    @pytest.mark.parametrize("source", ["S:7", "A:7"])
+    def test_sylow2_normalizer_against_element_set_keys(self, source):
+        G = named_group(source)
+        N = sylow_data(G, 2).normalizer
+        assert chain_length(G, N) == frozenset_chain_length(G, N)
+
+    @pytest.mark.parametrize("source", ["S:5", "A:6", "wr:S:3~C:2"])
+    def test_leaves_no_reference_cycles(self, source):
+        # Every object made by the scan and its element walks is freed by
+        # reference counting alone, with the cyclic collector held off.
+        gc.collect()
+        gc.disable()
+        try:
+            G = named_group(source)
+            chain_length(G, sylow_data(G, 2).normalizer)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_s5_sylow2_normalizer(self):
         S5 = named_group("S:5")
