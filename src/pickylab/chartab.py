@@ -242,6 +242,9 @@ class CharacterTable:
         self.values: tuple[tuple[Cyclotomic, ...], ...] = tuple(tuple(r) for r in values)
         self.degrees: tuple[int, ...] = tuple(degrees)
         self.inverse_classes: tuple[int, ...] = tuple(inverse_classes)
+        # Data other layers derive from the table alone, keyed by tuples
+        # that start with the name of what is stored.
+        self._cache: dict = {}
 
     @property
     def k(self) -> int:

@@ -12,8 +12,13 @@ sides coincide; the checks compare those multisets.  Signature variants:
 * ``ppart``  - (degree p-part, p-part exponent of the value),
 * ``degree`` - degree p-part alone (the coarsening all variants refine).
 
-Any ``fails`` verdict for a multiset check is re-verified by rebuilding
-both groups and tables from scratch before it is reported.
+Each table keeps its signature multisets, keyed by (class, p), for as long
+as the table lives, so the picky and subnormalizer checks build each column
+once; the field fingerprints and p-parts behind them are memoized in
+``exactnum``.  Any ``fails`` verdict for a multiset check is re-verified
+before it is reported by a computation that reads neither memo: both groups
+and tables are rebuilt from scratch, and the invariants are computed by the
+unmemoized functions.
 
 A check is one function ``check_<name>(G, p[, variant])`` returning
 ``(status, witnesses)``.  The ``@_check`` decorator registers it in
@@ -97,17 +102,39 @@ VARIANTS = ("plain", "strong", "ppart")
 def signatures(T: CharacterTable, x: Perm, p: int) -> dict[str, tuple]:
     """The signature multisets of Irr^x in every variant, ``degree`` first:
     variant -> the sorted per-character tuples, one per character of T not
-    vanishing at x, all built in one pass over the column of x."""
+    vanishing at x.
+
+    The multisets depend only on the class of x and on p, so they are built
+    once per (class, p) and kept on T: at most one entry per class and prime,
+    freed with the table.  Each call returns a new dict of the kept
+    multisets, which are tuples, so no caller can change an entry.
+    ``_reverify_mismatch`` reads neither this memo nor the ``exactnum``
+    ones."""
     j = T.class_index(x)
-    m = x.order()
+    key = ("signatures", j, p)
+    column = T._cache.get(key)
+    if column is None:
+        column = T._cache.setdefault(
+            key, _signature_column(T, j, p, field_fingerprint, algebraic_p_part)
+        )
+    return dict(column)
+
+
+def _signature_column(
+    T: CharacterTable, j: int, p: int, fingerprint, p_part_of
+) -> dict[str, tuple]:
+    """The signature multisets at class j, all variants in one pass over the
+    column, with ``fingerprint`` and ``p_part_of`` computing the field
+    fingerprint and the p-part of each value."""
+    m = T.classes[j].element_order
     items: dict[str, list] = {variant: [] for variant in ("degree",) + VARIANTS}
     for d, row in zip(T.degrees, T.values):
         v = row[j]
         if v.is_zero():
             continue
         dp = p_part(d, p)
-        fp = field_fingerprint(v, m)
-        e = algebraic_p_part(v, p).exponent
+        fp = fingerprint(v, m)
+        e = p_part_of(v, p).exponent
         items["degree"].append((dp,))
         items["plain"].append((dp, fp.modulus, fp.stabilizer))
         items["strong"].append((dp, max(v.to_string(), (-v).to_string())))
@@ -156,10 +183,18 @@ def _fresh(G: PermGroup) -> PermGroup:
 
 
 def _reverify_mismatch(G, H, x, p, variant) -> bool:
-    """Recompute both multisets from scratch and confirm they still differ."""
-    TG = _table_from_scratch(_fresh(G))
-    TH = _table_from_scratch(_fresh(H))
-    return signatures(TG, x, p)[variant] != signatures(TH, x, p)[variant]
+    """Recompute both multisets from scratch and confirm they still differ:
+    fresh groups and tables, and the unmemoized invariants, so that neither
+    the tables' signature memo nor the ``exactnum`` memos are read."""
+
+    def multiset(K):
+        T = _table_from_scratch(_fresh(K))
+        column = _signature_column(
+            T, T.class_index(x), p, field_fingerprint.__wrapped__, algebraic_p_part.__wrapped__
+        )
+        return column[variant]
+
+    return multiset(G) != multiset(H)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,18 @@ The power basis is an integral basis of the ring of integers of Q(zeta_n),
 so a value is an algebraic integer exactly when all stored coefficients are
 integers; `algebraic_p_part` nevertheless re-validates integrality through
 the characteristic polynomial, which is the authoritative test.
+
+`field_fingerprint` and `algebraic_p_part` are pure functions of an
+immutable, hashable value, so each is memoized for the life of the process
+by a `functools.lru_cache` of at most `INVARIANT_MEMO_SIZE` arguments,
+least recently used out first.  The memo is `typed`: a rational Cyclotomic
+equals and hashes like the int or Fraction of the same value, and the two
+never share an entry.  The results are frozen dataclasses, shared by every
+caller; the cross-checks inside `algebraic_p_part` run once per distinct
+argument.  A computation that must not trust the memo, such as the
+re-verification of a failed comparison in `conjectures`, calls the
+unmemoized functions, ``field_fingerprint.__wrapped__`` and
+``algebraic_p_part.__wrapped__``.
 """
 
 from __future__ import annotations
@@ -469,8 +481,14 @@ class PPart:
     exponent: Fraction
 
 
+# Arguments held by each invariant memo (see the module docstring).
+INVARIANT_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=INVARIANT_MEMO_SIZE, typed=True)
 def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
-    """Fingerprint of Q(alpha) at modulus m; requires alpha in Q(zeta_m)."""
+    """Fingerprint of Q(alpha) at modulus m; requires alpha in Q(zeta_m).
+    Memoized (see the module docstring)."""
     if m < 1:
         raise InvalidArgument("modulus must be positive")
     c = alpha.conductor
@@ -489,9 +507,13 @@ def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
     return FieldFingerprint(m, tuple(sorted(stab)))
 
 
+@lru_cache(maxsize=INVARIANT_MEMO_SIZE, typed=True)
 def algebraic_p_part(alpha: Cyclotomic, p: int) -> PPart:
-    """p-part of a nonzero algebraic integer: the p-part of the absolute
-    field norm, taken to the power 1/[Q(alpha):Q]."""
+    """p-part of a nonzero algebraic integer at a prime p: the p-part of the
+    absolute field norm, taken to the power 1/[Q(alpha):Q].  Memoized (see the
+    module docstring)."""
+    if not is_prime(p):
+        raise InvalidArgument(f"{p} is not a prime")
     if alpha.is_zero():
         raise InvalidArgument("the p-part of 0 is undefined")
     c = alpha.conductor

@@ -336,41 +336,61 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
 
     Most <H, g> are G itself, so each is built with ``stop_at = |G|`` (see
     ``_Chain.insert``) and ends as soon as it reaches that order.  Subgroups
-    are told apart by order plus containment (``find_same_subgroup``); only
-    the subgroup whose cosets are being scanned is enumerated.
+    are told apart by order and orbits on the points (``_subgroup_key``),
+    then by containment (``find_same_subgroup``) among the subgroups with
+    the same key; only the subgroup whose cosets are being scanned is
+    enumerated.
     """
     check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
-    memo: dict[int, list[tuple[PermGroup, int]]] = {}  # order -> (K, longest(K))
-    return _longest(N, G.order, G.elements(), memo)
+    memo: dict[tuple, list[tuple[PermGroup, int]]] = {}  # key -> (K, longest(K))
+    return _longest(N, _subgroup_key(N), G.order, G.elements(), memo)
 
 
-def _longest(H: PermGroup, group_order: int, g_elements, memo) -> int:
+def _subgroup_key(K: PermGroup) -> tuple:
+    """K's order and its orbits on the points, each point labelled by the
+    least point of its orbit.  Equal subgroups have equal keys."""
+    gens = [s.images for s in K.generators]
+    label = [-1] * K.degree
+    for i in range(K.degree):
+        if label[i] < 0:
+            for b in _orbit(gens, i, _image):
+                label[b] = i
+    return K.order, tuple(label)
+
+
+def _image(point: int, g: tuple[int, ...]) -> int:
+    return g[point]
+
+
+def _longest(H: PermGroup, key: tuple, group_order: int, g_elements, memo) -> int:
     """longest(H) in the group of order ``group_order`` whose elements are
-    ``g_elements``; ``memo`` is shared by one ``chain_length`` call."""
+    ``g_elements``; ``key`` is H's ``_subgroup_key``, and ``memo`` is shared
+    by one ``chain_length`` call."""
     if H.order == group_order:
         return 0
-    same_order = memo.setdefault(H.order, [])
-    entry = find_same_subgroup(H, same_order, itemgetter(0))
+    same_key = memo.setdefault(key, [])
+    entry = find_same_subgroup(H, same_key, itemgetter(0))
     if entry is None:
         found = _overgroups(H, group_order, g_elements)
         if not found:
             raise EngineDefect("no overgroup found for a proper subgroup")
-        entry = (H, 1 + max(_longest(K, group_order, g_elements, memo) for K in found))
-        same_order.append(entry)
+        entry = (H, 1 + max(_longest(K, k, group_order, g_elements, memo) for k, K in found))
+        same_key.append(entry)
     return entry[1]
 
 
-def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[PermGroup]:
-    """<H, g> for one g per double coset H g H and its coprime powers, each
-    subgroup once; the cosets are freed before the recursion goes deeper."""
+def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[tuple[tuple, PermGroup]]:
+    """(key, <H, g>) for one g per double coset H g H and its coprime
+    powers, each subgroup once; the cosets are freed before the recursion
+    goes deeper."""
     h_elements = list(H.chain.iter_elements())
     seen = set(h_elements)
     # b -> h b; the degree is at least 2 (H < G), so each getter returns a tuple.
     left = [itemgetter(*h) for h in h_elements]
     right = [s.images for s in H.generators]
-    by_order: dict[int, list[PermGroup]] = {}
+    by_key: dict[tuple, list[PermGroup]] = {}
     for g in g_elements:
         gt = g.images
         if gt in seen:
@@ -379,10 +399,10 @@ def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[PermGroup]:
             if gk not in seen:  # seen is a union of double cosets
                 _mark_double_coset(gk, left, right, seen)
         K = extended_group(H, [g], group_order)
-        same_order = by_order.setdefault(K.order, [])
-        if find_same_subgroup(K, same_order) is None:
-            same_order.append(K)
-    return [K for same_order in by_order.values() for K in same_order]
+        same_key = by_key.setdefault(_subgroup_key(K), [])
+        if find_same_subgroup(K, same_key) is None:
+            same_key.append(K)
+    return [(key, K) for key, same_key in by_key.items() for K in same_key]
 
 
 def _mark_double_coset(a: tuple[int, ...], left, right, seen: set) -> None:

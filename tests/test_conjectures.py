@@ -1,10 +1,13 @@
 """The verification harness: each check on its fixture examples, the
 signature machinery, and the cross-statement implications."""
 
+import sys
+import threading
+
 import pytest
 
-from pickylab import conjectures
-from pickylab.chartab import character_table
+from pickylab import chartab, conjectures
+from pickylab.chartab import _table_from_scratch, character_table
 from pickylab.conjectures import (
     CheckReport,
     check_alperin_c,
@@ -24,7 +27,9 @@ from pickylab.conjectures import (
     signatures,
     _reverify_mismatch,
 )
+from pickylab.cli import load_catalog
 from pickylab.errors import InvalidArgument
+from pickylab.exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, prime_factors
 from pickylab.permgroup import PermGroup, named_group, parse_perm
 
 
@@ -202,6 +207,131 @@ class TestSignatures:
         assert signatures(TG, x, 2)["strong"] == signatures(TN, x, 2)["strong"]
 
 
+def unmemoized_signatures(T, x, p):
+    """The four signature multisets from their definitions, through the
+    unmemoized invariants: the oracle for the memoized ``signatures``."""
+    fingerprint = field_fingerprint.__wrapped__
+    p_part_of = algebraic_p_part.__wrapped__
+    j = T.class_index(x)
+    values = [(d, row[j]) for d, row in zip(T.degrees, T.values) if not row[j].is_zero()]
+
+    def dp(d):
+        return p ** p_adic_valuation(d, p)
+
+    def fp(v):
+        f = fingerprint(v, x.order())
+        return f.modulus, f.stabilizer
+
+    def e(v):
+        exponent = p_part_of(v, p).exponent
+        return exponent.numerator, exponent.denominator
+
+    return {
+        "degree": tuple(sorted((dp(d),) for d, v in values)),
+        "plain": tuple(sorted((dp(d), *fp(v)) for d, v in values)),
+        "strong": tuple(sorted((dp(d), max(v.to_string(), (-v).to_string())) for d, v in values)),
+        "ppart": tuple(sorted((dp(d), e(v)) for d, v in values)),
+    }
+
+
+class TestSignatureMemo:
+    def test_memo_equals_the_unmemoized_oracle_on_fresh_tables(self):
+        for entry in load_catalog("small"):
+            G = entry.build()
+            T = character_table(G)
+            fresh = _table_from_scratch(PermGroup(G.generators, G.degree))
+            for p in prime_factors(G.order):
+                for c in T.classes:
+                    x = c.representative
+                    expected = unmemoized_signatures(fresh, x, p)
+                    assert signatures(T, x, p) == expected, (entry.label, p, x)
+                    assert signatures(T, x, p) == expected  # now from the memo
+
+    def test_each_column_is_built_once_per_table_class_and_prime(self, monkeypatch):
+        built = []
+        original = conjectures._signature_column
+
+        def counting(T, j, p, *args):
+            built.append((T, j, p))  # holds T, so no id is reused
+            return original(T, j, p, *args)
+
+        monkeypatch.setattr(conjectures, "_signature_column", counting)
+        # New tables, so that no memo entry comes from an earlier test.
+        monkeypatch.setattr(chartab, "_shared_tables", {})
+        for label in ("S:4", "S:5", "D:12"):
+            G = named_group(label)
+            for p in prime_factors(G.order):
+                run_all_checks(G, p)
+        keys = [(id(T), j, p) for T, j, p in built]
+        assert keys and len(keys) == len(set(keys))
+
+    def test_threads_read_one_stored_column(self, monkeypatch):
+        # Threads racing on one new table may each build a column, but all
+        # of them return the multisets that the table keeps.
+        monkeypatch.setattr(chartab, "_shared_tables", {})
+        T = character_table(named_group("S:5"))
+        asks = [(c.representative, p) for c in T.classes for p in (2, 3, 5)]
+        results = [None] * 8
+        start = threading.Barrier(len(results))
+
+        def ask(i):
+            start.wait(timeout=60)
+            results[i] = [signatures(T, x, p) for x, p in asks]
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(T._cache) == len(asks)
+        for x, p in asks:
+            kept = T._cache[("signatures", T.class_index(x), p)]
+            for result in results:
+                got = result[asks.index((x, p))]
+                assert all(got[v] is kept[v] for v in kept)
+
+    def test_returned_dict_is_a_copy(self):
+        T = character_table(named_group("S:4"))
+        x = parse_perm("(1,2,3,4)", 4)
+        first = signatures(T, x, 2)
+        expected = dict(first)
+        first["plain"] = ()
+        del first["degree"]
+        assert signatures(T, x, 2) == expected
+
+    def test_forced_reverification_reads_neither_memo(self, monkeypatch):
+        S4 = named_group("S:4")
+        C4 = named_group("C:4")
+        x = parse_perm("(1,2,3,4)", 4)
+        for K in (S4, C4):
+            T = character_table(K)
+            signatures(T, x, 2)
+            # Equal on both sides: a re-verification that read them would not
+            # confirm the mismatch.
+            for key in list(T._cache):
+                monkeypatch.setitem(T._cache, key, dict.fromkeys(conjectures.VARIANTS, ()))
+        memos = (field_fingerprint, algebraic_p_part)
+        before = [f.cache_info() for f in memos]
+        fresh_tables = []
+
+        def recording(G):
+            fresh_tables.append(original(G))
+            return fresh_tables[-1]
+
+        original = conjectures._table_from_scratch
+        monkeypatch.setattr(conjectures, "_table_from_scratch", recording)
+        assert _reverify_mismatch(S4, C4, x, 2, "plain")
+        assert [f.cache_info() for f in memos] == before
+        assert [T.group.order for T in fresh_tables] == [24, 4]
+        assert all(T._cache == {} for T in fresh_tables)
+
+
 class TestPickyConjecture:
     def test_s4_p2_all_variants(self):
         S4 = named_group("S:4")
@@ -324,8 +454,6 @@ class TestHarness:
         assert _reverify_mismatch(S4, C4, x, 2, "plain")
 
     def test_reverification_rebuilds_both_tables(self, monkeypatch):
-        from pickylab import chartab
-
         S4 = named_group("S:4")
         C4 = named_group("C:4")
         character_table(S4)

@@ -361,6 +361,11 @@ class TestAlgebraicPPart:
         with pytest.raises(InvalidArgument):
             algebraic_p_part(rat(Fraction(1, 2)), 2)
 
+    @pytest.mark.parametrize("p", [4, 6, 1, 0, -2])
+    def test_non_prime_is_refused(self, p):
+        with pytest.raises(InvalidArgument, match="is not a prime"):
+            algebraic_p_part(Cyclotomic.from_rational(8), p)
+
     def test_norm_multiplicativity_rational(self):
         for a, b in [(4, 6), (3, 8), (10, 35)]:
             for p in (2, 3, 5):
@@ -376,3 +381,24 @@ class TestAlgebraicPPart:
                 for p in (2, 5):
                     e = algebraic_p_part(prod, p).exponent
                     assert e == algebraic_p_part(a, p).exponent + algebraic_p_part(b, p).exponent
+
+
+class TestInvariantMemos:
+    @pytest.mark.parametrize("memo", [field_fingerprint, algebraic_p_part])
+    def test_memo_is_bounded_and_typed(self, memo):
+        params = memo.cache_parameters()
+        assert params["maxsize"] is not None and params["typed"]
+
+    def test_rational_cyclotomic_and_equal_int_do_not_share_an_entry(self):
+        # They compare and hash equal, so an untyped memo would answer the
+        # int from the Cyclotomic's entry; typed, the int is a new argument.
+        value = Cyclotomic.from_rational(96)
+        assert value == 96 and hash(value) == hash(96)
+        for memo, args in ((algebraic_p_part, (2,)), (field_fingerprint, (4,))):
+            memo(value, *args)
+            before = memo.cache_info()
+            assert memo(value, *args) == memo(value, *args)
+            with pytest.raises(AttributeError):
+                memo(96, *args)  # an int is no Cyclotomic, and is computed
+            after = memo.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 2, before.misses + 1)
