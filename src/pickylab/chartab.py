@@ -12,6 +12,13 @@ finite-field discrete Fourier relation: the multiplicity of each eigenvalue
 zeta_m^t of a representing matrix is an ordinary integer below q, so its
 residue determines it.
 
+Sym(n) on its n points (recognised by its order, see
+``permgroup.natural_kind``) takes its table from ``symfast`` instead: the
+border-strip value of each partition at each class's cycle type, and the
+hook-length degrees, in the same row order as every other table.  Dixon's
+build (``_dixon_table``) stays the path of every other group, Alt(n)
+included, and the test oracle of the symfast path.
+
 Every table is verified before it is returned: both orthogonality
 relations hold exactly, the degree squares sum to |G|, and the value at an
 inverse class equals the complex conjugate value.  There is no floating
@@ -28,7 +35,9 @@ from operator import attrgetter
 from .config import TABLE_BOUND
 from .errors import EngineDefect
 from .exactnum import Cyclotomic, is_prime, p_part, prime_factors
+from . import symfast
 from .permgroup import (
+    SYMMETRIC,
     ConjugacyClass,
     PermGroup,
     Perm,
@@ -40,6 +49,8 @@ from .permgroup import (
     conjugacy_classes,
     exponent,
     find_same_subgroup,
+    natural_kind,
+    partitions,
 )
 
 # ----------------------------------------------------------------------
@@ -305,10 +316,34 @@ def _table_from_scratch(G: PermGroup) -> CharacterTable:
 
 
 def _build_table(G: PermGroup) -> CharacterTable:
+    """G's table before verification: Sym(n) on its n points from the
+    border-strip rule, every other group by Dixon's method."""
+    if natural_kind(G) == SYMMETRIC:
+        return _symmetric_table(G)
+    return _dixon_table(G)
+
+
+def _symmetric_table(G: PermGroup) -> CharacterTable:
+    """Sym(n)'s table from ``symfast``: Irr(Sym(n)) is indexed by the
+    partitions lam of n, each value is the border-strip value of lam at the
+    class's cycle type and each degree the hook-length degree of lam.
+    Every class holds the inverses of its members, which have its cycle
+    type.  ``_dixon_table`` is the test oracle of this path."""
+    classes = conjugacy_classes(G)
+    types = [c.representative.cycle_type(include_fixed=True) for c in classes]
+    lams = partitions(G.degree)
+    rows = [[Cyclotomic.from_rational(symfast.mn_value(lam, mu)) for mu in types] for lam in lams]
+    degrees = [symfast.degree(lam) for lam in lams]
+    return _ordered_table(G, classes, degrees, rows, range(len(classes)))
+
+
+def _dixon_table(G: PermGroup) -> CharacterTable:
+    """G's table by Dixon's method (see the module docstring): the path of
+    every group but Sym(n), and the test oracle of ``_symmetric_table``."""
     classes = conjugacy_classes(G)
     k = len(classes)
     order = G.order
-    class_of = G._class_of
+    class_of = _ClassMemo(G._class_of)
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
@@ -334,7 +369,7 @@ def _build_table(G: PermGroup) -> CharacterTable:
 
     # The identity class gives the identity matrix; the others go smallest first.
     by_size = sorted(range(1, k), key=lambda i: (sizes[i], i))
-    eigvecs = _split_common_eigenspaces((_class_matrix(G, classes, i, q) for i in by_size), q, k)
+    eigvecs = _split_common_eigenspaces((_class_matrix(G, classes, i, q, class_of) for i in by_size), q, k)
 
     # Normalise so the identity-class coordinate is 1 (omega at identity).
     id_class = 0  # classes are sorted by element order, identity first
@@ -395,11 +430,16 @@ def _build_table(G: PermGroup) -> CharacterTable:
             row.append(Cyclotomic(m, coeffs))
         rows_exact.append(row)
 
-    # Deterministic row order: principal character first (all values 1), the
-    # rest sorted by degree, then by the canonical value strings.
+    return _ordered_table(G, classes, degrees, rows_exact, inverse_classes)
+
+
+def _ordered_table(G: PermGroup, classes, degrees, rows, inverse_classes) -> CharacterTable:
+    """The table with its rows in the deterministic order: principal
+    character first (all values 1), the rest sorted by degree, then by the
+    canonical value strings."""
     one = Cyclotomic.from_rational(1)
     decorated = []
-    for d, row in zip(degrees, rows_exact):
+    for d, row in zip(degrees, rows):
         is_principal = d == 1 and all(v == one for v in row)
         decorated.append((not is_principal, d, tuple(v.to_string() for v in row), d, row))
     decorated.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -407,20 +447,38 @@ def _build_table(G: PermGroup) -> CharacterTable:
         raise EngineDefect("no principal character found")
     degrees_sorted = [t[3] for t in decorated]
     values_sorted = [t[4] for t in decorated]
-
     return CharacterTable(G, classes, values_sorted, degrees_sorted, inverse_classes)
 
 
-def _class_matrix(G: PermGroup, classes, i: int, q: int) -> list[list[int]]:
+class _ClassMemo(dict):
+    """Element -> class index, read from a group's class map on the first
+    lookup of each element.  One lives for one table build, so the cycle
+    type (and, in Alt(n), the alignment parity) of an element is computed
+    once however many class matrices meet it; it holds at most |G|
+    entries and is freed with the build."""
+
+    __slots__ = ("class_of",)
+
+    def __init__(self, class_of):
+        super().__init__()
+        self.class_of = class_of
+
+    def __missing__(self, t: tuple[int, ...]) -> int:
+        idx = self[t] = self.class_of[t]
+        return idx
+
+
+def _class_matrix(G: PermGroup, classes, i: int, q: int, class_of) -> list[list[int]]:
     """M[j][l] = #{(x, y) in C_i x C_j : xy = rep_l} mod q, at k * |C_i| compositions:
-    the inverses x^-1 of C_i's members are the conjugation orbit of rep_i^-1."""
+    the inverses x^-1 of C_i's members are the conjugation orbit of rep_i^-1.
+    ``class_of`` maps each element of G to its class index."""
     gens = [g.images for g in G.generators]
     inverses = _orbit(gens, classes[i].representative.inverse().images, _conj)
     M = [[0] * len(classes) for _ in classes]
     for l, c in enumerate(classes):
         rt = c.representative.images
         for x_inv in inverses:
-            M[G._class_of[_mul(x_inv, rt)]][l] += 1
+            M[class_of[_mul(x_inv, rt)]][l] += 1
     return [[v % q for v in row] for row in M]
 
 

@@ -9,8 +9,9 @@ for subnormalizer sweeps).
 # Largest |G| for which all elements may be walked or materialised.
 # Conjugacy classes walk the elements but no longer hold them all: only
 # one conjugation orbit at a time, plus the members of cycle types that
-# split into several classes.  Sorted element lists (brute-force sweeps,
-# covering analysis) are held whole.
+# split into several classes; Sym(n) and Alt(n) walk none, their classes
+# come from the partitions of n.  Sorted element lists (brute-force
+# sweeps, covering analysis) are held whole.
 ENUM_BOUND = 100_000
 # Largest |G| for which a generic character table is computed; bigger
 # symmetric/wreath groups should go through the fast symmetric-group

@@ -481,6 +481,13 @@ class PPart:
     exponent: Fraction
 
 
+def _require_cyclotomic(alpha) -> None:
+    """Refuse an argument that is not a Cyclotomic, such as the int or
+    Fraction of the same value, which the memo keeps apart."""
+    if not isinstance(alpha, Cyclotomic):
+        raise InvalidArgument(f"expected a Cyclotomic, got {type(alpha).__name__} {alpha!r}")
+
+
 # Arguments held by each invariant memo (see the module docstring).
 INVARIANT_MEMO_SIZE = 4096
 
@@ -489,6 +496,7 @@ INVARIANT_MEMO_SIZE = 4096
 def field_fingerprint(alpha: Cyclotomic, m: int) -> FieldFingerprint:
     """Fingerprint of Q(alpha) at modulus m; requires alpha in Q(zeta_m).
     Memoized (see the module docstring)."""
+    _require_cyclotomic(alpha)
     if m < 1:
         raise InvalidArgument("modulus must be positive")
     c = alpha.conductor
@@ -512,6 +520,7 @@ def algebraic_p_part(alpha: Cyclotomic, p: int) -> PPart:
     """p-part of a nonzero algebraic integer at a prime p: the p-part of the
     absolute field norm, taken to the power 1/[Q(alpha):Q].  Memoized (see the
     module docstring)."""
+    _require_cyclotomic(alpha)
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not a prime")
     if alpha.is_zero():

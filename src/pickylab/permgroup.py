@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
 from .config import ENUM_BOUND, SYLOW_BOUND
@@ -371,9 +371,12 @@ class PermGroup:
             if not gens:
                 raise InvalidArgument("degree required for a generator-free group")
             degree = gens[0].degree
+        points = list(range(degree))
         for g in gens:
             if g.degree != degree:
                 raise InvalidArgument("generators act on different point sets")
+            if not all(type(i) is int for i in g.images) or sorted(g.images) != points:
+                raise InvalidArgument(f"generator {g.images} is not a permutation of 0..{degree - 1}")
         seen = set()
         uniq = []
         for g in gens:
@@ -573,9 +576,10 @@ class ConjugacyClass:
 
 
 class _ClassMap:
-    """Element -> class index.  ``split`` holds the members of the cycle
-    types that hold several classes; every other element's class is found
-    from its cycle type by ``by_type``."""
+    """Element -> class index for the classes of the element walk.
+    ``split`` holds the members of the cycle types that hold several
+    classes; every other element's class is found from its cycle type by
+    ``by_type``."""
 
     __slots__ = ("by_type", "split")
 
@@ -588,58 +592,217 @@ class _ClassMap:
         return self.by_type[_cycle_type(t)] if idx is None else idx
 
 
+class _TypeClassMap:
+    """Element -> class index for Sym(n) and Alt(n), from the cycle type.
+    ``halves`` maps each cycle type that splits in Alt(n) to its two class
+    indices: that of the representative for an even alignment parity, the
+    other one for an odd parity."""
+
+    __slots__ = ("by_type", "halves")
+
+    def __init__(self, by_type: dict, halves: dict):
+        self.by_type = by_type
+        self.halves = halves
+
+    def __getitem__(self, t: tuple[int, ...]) -> int:
+        key = _cycle_type(t)
+        idx = self.by_type.get(key)
+        return self.halves[key][_alignment_parity(t)] if idx is None else idx
+
+
+def _alignment_parity(t: tuple[int, ...]) -> int:
+    """Parity of a permutation g with g^-1 * r * g = t, where r is the
+    representative of t's cycle type (see ``_least_of_type``): g lists t's
+    cycles, each from its least point, shortest cycle first.  For a type
+    with distinct odd parts every such g has the same parity, because the
+    centralizer of r is generated by its odd-length cycles.
+
+    The cycles are walked once in order of their least points, building
+    the sequence u of points in walking order; the parity of u is its
+    inversion count, added up as each point arrives from the bit set of
+    the points already walked.  Sorting the blocks of u by length then
+    moves blocks of odd length past each other, one odd permutation per
+    pair out of order."""
+    walked = 0
+    inversions = 0
+    lengths = []
+    for i in range(len(t)):
+        if walked >> i & 1:
+            continue
+        j = i
+        length = 0
+        while True:
+            inversions += (walked >> j).bit_count()
+            walked |= 1 << j
+            length += 1
+            j = t[j]
+            if j == i:
+                break
+        lengths.append(length)
+    for a, la in enumerate(lengths):
+        inversions += sum(1 for lb in lengths[a + 1:] if lb < la)
+    return inversions & 1
+
+
+@cache
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n, parts descending, in descending lexicographic
+    order."""
+    if n < 0:
+        raise InvalidArgument("n must be nonnegative")
+    return tuple(_partitions_below(n, n))
+
+
+def _partitions_below(n: int, largest: int):
+    """The partitions of n with no part above ``largest``, in descending
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(largest, n), 0, -1):
+        for rest in _partitions_below(n - part, part):
+            yield (part,) + rest
+
+
+def _least_of_type(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The least image tuple with cycle type lam (parts of a partition of
+    the degree): the fixed points first, then cycles of ascending length,
+    each on consecutive points.  Point by point, a fixed point is the
+    least image there is, the next point is the least image after the
+    fixed points, and closing a shorter cycle first puts the smaller
+    image earlier."""
+    images: list[int] = []
+    for length in sorted(lam):
+        start = len(images)
+        images.extend(range(start + 1, start + length))
+        images.append(start)
+    return tuple(images)
+
+
+SYMMETRIC, ALTERNATING = "symmetric", "alternating"
+
+
+def natural_kind(G: PermGroup) -> str | None:
+    """SYMMETRIC if G is Sym(n) on its n points, ALTERNATING if it is
+    Alt(n), else None.  G <= Sym(n) is all of it when |G| = n!, and Alt(n)
+    is the only subgroup of index 2; that every generator is then even is
+    kept as a cross-check."""
+    n, order = G.degree, G.order
+    if order == factorial(n):
+        return SYMMETRIC
+    if 2 * order != factorial(n):
+        return None
+    if any((n - len(g.cycle_type(include_fixed=True))) % 2 for g in G.generators):
+        raise EngineDefect("a subgroup of index 2 in Sym(n) has an odd generator")
+    return ALTERNATING
+
+
+def _partition_classes(n: int, alternating: bool) -> tuple[list[tuple], _TypeClassMap]:
+    """The classes of Sym(n) or Alt(n) from the partitions lam of n, with no
+    element walked: the representative is ``_least_of_type(lam)``, the size
+    n!/z_lam and the element order lcm(lam).  Alt(n) holds the even types;
+    one splits into two classes of half the size exactly when its parts are
+    distinct and odd (James and Kerber, *The Representation Theory of the
+    Symmetric Group*, 1981).  The second class is that of the
+    representative with its last two points swapped, the least element of
+    the type whose alignment parity is odd: only the last cycle, of length
+    at least 3, is rearranged, and its second least arrangement is that
+    swap."""
+    swap = tuple(range(n - 2)) + (n - 1, n - 2)
+    raw = []  # (element order, size, representative, cycle type)
+    for lam in partitions(n):
+        if alternating and len(lam) % 2 != n % 2:
+            continue  # an odd type
+        z = 1
+        for part in set(lam):
+            mult = lam.count(part)
+            z *= part**mult * factorial(mult)
+        reps = [_least_of_type(lam)]
+        if alternating and len(set(lam)) == len(lam) and all(p % 2 for p in lam):
+            reps.append(_conj(reps[0], swap))
+        key = tuple(p for p in lam if p > 1)
+        raw += [(lcm(*lam), factorial(n) // z // len(reps), rep, key) for rep in reps]
+    raw.sort()
+    by_type: dict[tuple[int, ...], int] = {}
+    halves: dict[tuple[int, ...], tuple[int, int]] = {}
+    for idx, (*_, key) in enumerate(raw):
+        if key in by_type:  # the second half of a split type sorts after the first
+            halves[key] = (by_type.pop(key), idx)
+        else:
+            by_type[key] = idx
+    return raw, _TypeClassMap(by_type, halves)
+
+
+def _walk_classes(G: PermGroup) -> tuple[list[tuple], _ClassMap]:
+    """The classes of G from its elements, for every group that is not
+    Sym(n) or Alt(n) on its points (see ``conjugacy_classes``)."""
+    gens = [g.images for g in G.generators]
+    order = G.order
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    met: dict[tuple[int, ...], int] = {}
+    total = 0
+    for t in G.chain.iter_elements():
+        key = _cycle_type(t)
+        met[key] = met.get(key, 0) + 1
+        if key not in first:
+            orbit = _orbit(gens, t, _conj)
+            first[key] = (min(orbit), len(orbit))
+            total += len(orbit)
+            if total == order:
+                break
+    split_types = {key for key, (_, size) in first.items() if met[key] > size}
+    # (element order, size, representative, cycle type if it decides the class)
+    raw = [(lcm(*key), size, rep, key) for key, (rep, size) in first.items()
+           if key not in split_types]
+    split: dict[tuple[int, ...], int] = {}  # member -> its class's index
+    if split_types:
+        for t in G.chain.iter_elements():
+            if t in split or _cycle_type(t) not in split_types:
+                continue
+            orbit = _orbit(gens, t, _conj)
+            rep = min(orbit)
+            split.update(dict.fromkeys(orbit, rep))  # replaced by the index below
+            raw.append((lcm(*_cycle_type(rep)), len(orbit), rep, None))
+    raw.sort()
+    index = {rep: idx for idx, (_, _, rep, _) in enumerate(raw)}
+    for t, rep in split.items():
+        split[t] = index[rep]
+    by_type = {key: idx for idx, (*_, key) in enumerate(raw) if key is not None}
+    return raw, _ClassMap(by_type, split)
+
+
 def conjugacy_classes(G: PermGroup) -> list[ConjugacyClass]:
     """Classes sorted by (element order, size, representative); every
     representative is the lexicographically smallest member of its class.
 
-    The chain's elements are walked in its own order.  The cycle type is a
-    class function of Sym(n), hence of G, so each cycle type holds one or
-    more whole classes.  The first element of each new cycle type gives a
-    class: its conjugation orbit is walked for the minimum and the size,
-    then dropped.  The walk stops once these sizes add up to |G|: the
-    classes found are then disjoint and cover G, one per cycle type, so
-    they are all the classes and the cycle type decides each.  If the walk
-    ends short, the cycle types met more often than their class's size
-    split into several classes, and a second walk finds those classes,
-    recording only their members in the element -> class map.  The sorted
-    element list is never built."""
+    Sym(n) and Alt(n) on their n points (see ``natural_kind``) take their
+    classes from the partitions of n, with no element walked
+    (``_partition_classes``), and find the class of an element from its
+    cycle type and, for the Alt(n) types that split, from the parity of
+    an alignment with the representative (``_alignment_parity``).
+
+    Every other group walks the chain's elements in its own order
+    (``_walk_classes``).  The cycle type is a class function of Sym(n),
+    hence of G, so each cycle type holds one or more whole classes.  The
+    first element of each new cycle type gives a class: its conjugation
+    orbit is walked for the minimum and the size, then dropped.  The walk
+    stops once these sizes add up to |G|: the classes found are then
+    disjoint and cover G, one per cycle type, so they are all the classes
+    and the cycle type decides each.  If the walk ends short, the cycle
+    types met more often than their class's size split into several
+    classes, and a second walk finds those classes, recording only their
+    members in the element -> class map.  The sorted element list is
+    never built.  The walk is also the test oracle of the partition
+    classes."""
     if G._classes is None:
         check_order_bound(G, ENUM_BOUND, "enumeration")
-        gens = [g.images for g in G.generators]
-        order = G.order
-        first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        met: dict[tuple[int, ...], int] = {}
-        total = 0
-        for t in G.chain.iter_elements():
-            key = _cycle_type(t)
-            met[key] = met.get(key, 0) + 1
-            if key not in first:
-                orbit = _orbit(gens, t, _conj)
-                first[key] = (min(orbit), len(orbit))
-                total += len(orbit)
-                if total == order:
-                    break
-        split_types = {key for key, (_, size) in first.items() if met[key] > size}
-        # (element order, size, representative, cycle type if it decides the class)
-        raw = [(lcm(*key), size, rep, key) for key, (rep, size) in first.items()
-               if key not in split_types]
-        split: dict[tuple[int, ...], int] = {}  # member -> its class's index
-        if split_types:
-            for t in G.chain.iter_elements():
-                if t in split or _cycle_type(t) not in split_types:
-                    continue
-                orbit = _orbit(gens, t, _conj)
-                rep = min(orbit)
-                split.update(dict.fromkeys(orbit, rep))  # replaced by the index below
-                raw.append((lcm(*_cycle_type(rep)), len(orbit), rep, None))
-        raw.sort()
-        index = {rep: idx for idx, (_, _, rep, _) in enumerate(raw)}
-        for t, rep in split.items():
-            split[t] = index[rep]
-        classes = [ConjugacyClass(Perm(rep), size, m) for m, size, rep, _ in raw]
-        by_type = {key: idx for idx, (*_, key) in enumerate(raw) if key is not None}
-        G._classes = classes
-        G._class_of = _ClassMap(by_type, split)
+        kind = natural_kind(G)
+        if kind is None:
+            raw, class_of = _walk_classes(G)
+        else:
+            raw, class_of = _partition_classes(G.degree, kind == ALTERNATING)
+        G._classes = [ConjugacyClass(Perm(rep), size, m) for m, size, rep, *_ in raw]
+        G._class_of = class_of
     return G._classes
 
 

@@ -18,37 +18,18 @@ subgroup S_n x S_n, where the two extensions agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import factorial
 
 from .errors import InvalidArgument
 from .exactnum import p_part
+from .permgroup import partitions
 
 Partition = tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
     return all(a >= b for a, b in zip(parts, parts[1:])) and all(p > 0 for p in parts)
-
-
-@cache
-def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in descending lexicographic order."""
-    if n < 0:
-        raise InvalidArgument("n must be nonnegative")
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for p in range(min(maxpart, remaining), 0, -1):
-            rec(remaining - p, p, prefix + (p,))
-
-    rec(n, n, ())
-    return tuple(out)
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from pickylab.blocks import block_partition, principal_block
-from pickylab.chartab import character_table, _verify_table
+from pickylab.chartab import _dixon_table, _verify_table, character_table
 from pickylab.cli import run_batch
 from pickylab.conjectures import run_all_checks, run_check
 from pickylab.errors import EngineDefect
@@ -203,7 +203,10 @@ class TestCriterion7CrossImplementation:
     def test_criterion_7_symfast_matches_generic(self):
         for n in range(1, 9):
             G = named_group(f"S:{n}")
-            T = character_table(G)
+            # Dixon's build by name: character_table takes Sym(n)'s values
+            # from symfast itself.
+            T = _dixon_table(G)
+            _verify_table(T)
             types = [c.representative.cycle_type(include_fixed=True) for c in T.classes]
             generic = set()
             for i in range(T.k):

@@ -402,12 +402,12 @@ def _oracle_table(G, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(chartab, "_split_common_eigenspaces", split_all)
-        return chartab._build_table(G)
+        return chartab._dixon_table(G)
 
 
 def _assert_same_build(G, monkeypatch, label=None):
     oracle = _oracle_table(G, monkeypatch)
-    assert chartab._build_table(G).to_json_dict() == oracle.to_json_dict(), label
+    assert chartab._dixon_table(G).to_json_dict() == oracle.to_json_dict(), label
 
 
 class TestClassMatrices:
@@ -424,7 +424,7 @@ class TestClassMatrices:
             q = chartab._field_prime(exponent(G), G.order)
             mats = _oracle_mats(G, q)
             for i in range(len(classes)):
-                assert chartab._class_matrix(G, classes, i, q) == mats[i], (label, i)
+                assert chartab._class_matrix(G, classes, i, q, G._class_of) == mats[i], (label, i)
 
     # The strategy of tests/test_differential.py: four permutations of
     # degree 5 or 6 give groups up to S6 rather than mostly tiny ones.
@@ -438,10 +438,41 @@ class TestClassMatrices:
         calls = []
         original = chartab._class_matrix
 
-        def counting(G, classes, i, q):
+        def counting(G, classes, i, q, class_of):
             calls.append(i)
-            return original(G, classes, i, q)
+            return original(G, classes, i, q, class_of)
 
         monkeypatch.setattr(chartab, "_class_matrix", counting)
-        chartab._build_table(named_group(name))
+        chartab._dixon_table(named_group(name))
         assert len(calls) == used
+
+
+class TestSymmetricTables:
+    """Sym(n)'s table from symfast against Dixon's build by name."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symfast_table_equals_dixon(self, n, relabel, monkeypatch):
+        def build():
+            G = named_group(f"S:{n}")
+            if relabel:
+                sigma = Perm(tuple(range(1, n)) + (0,))
+                G = G.conjugate_subgroup(sigma)
+            return G
+
+        matrices = []
+        monkeypatch.setattr(chartab, "_class_matrix", lambda *args: matrices.append(args))
+        T = chartab._build_table(build())
+        assert matrices == []  # no Dixon step ran
+        monkeypatch.undo()
+        chartab._verify_table(T)
+        oracle = chartab._dixon_table(build())
+        assert T.to_json_dict() == oracle.to_json_dict()
+        assert T.inverse_classes == oracle.inverse_classes
+
+    @pytest.mark.parametrize("name", ["A:5", "A:7", "C:3", "wr:S:3~C:2"])
+    def test_other_groups_take_dixon(self, name, monkeypatch):
+        reads = []
+        monkeypatch.setattr(chartab, "_symmetric_table", lambda G: reads.append(G))
+        T = chartab._build_table(named_group(name))
+        assert reads == [] and T.k == len(conjugacy_classes(named_group(name)))

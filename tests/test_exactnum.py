@@ -398,7 +398,14 @@ class TestInvariantMemos:
             memo(value, *args)
             before = memo.cache_info()
             assert memo(value, *args) == memo(value, *args)
-            with pytest.raises(AttributeError):
-                memo(96, *args)  # an int is no Cyclotomic, and is computed
+            with pytest.raises(InvalidArgument):
+                memo(96, *args)  # an int is no Cyclotomic: a miss, then refused
             after = memo.cache_info()
             assert (after.hits, after.misses) == (before.hits + 2, before.misses + 1)
+
+    @pytest.mark.parametrize("value", [96, Fraction(1, 2), 2.5, "1", None])
+    def test_non_cyclotomic_arguments_are_refused(self, value):
+        for memo, args in ((field_fingerprint, (4,)), (algebraic_p_part, (2,))):
+            for fn in (memo, memo.__wrapped__):
+                with pytest.raises(InvalidArgument, match="expected a Cyclotomic"):
+                    fn(value, *args)

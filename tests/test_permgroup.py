@@ -4,6 +4,7 @@ plain brute force over element sets, which never touches the stabilizer
 chain."""
 
 import gc
+import random
 import tracemalloc
 from collections import Counter
 from functools import partial, reduce
@@ -15,15 +16,20 @@ from hypothesis import strategies as st
 
 from pickylab.chartab import _table_from_scratch, character_table
 from pickylab.cli import load_catalog
-from pickylab.errors import InvalidArgument, ParseError, ScaleExceeded
+from pickylab.errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from pickylab.permgroup import (
+    ALTERNATING,
+    SYMMETRIC,
     Perm,
     PermGroup,
     _Chain,
+    _ClassMap,
+    _TypeClassMap,
     _cycle_type,
     _inv,
     _is_identity,
     _mul,
+    _walk_classes,
     centralizer,
     check_order_bound,
     class_index_of,
@@ -34,6 +40,7 @@ from pickylab.permgroup import (
     is_p_element,
     is_ti_sylow,
     named_group,
+    natural_kind,
     normal_closure,
     normalizer,
     parse_generator_text,
@@ -250,6 +257,15 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             PermGroup([parse_perm("(1,2)"), parse_perm("(1,2,3)")])
 
+    # (0, 0, 1) once recursed without end in the chain build, and
+    # (0, 1, -1) gave a group of order 2.
+    @pytest.mark.parametrize("images", [(0, 0, 1), (0, 1, -1), (0, 1, 3), (2, 0, 1.0), (1, 0, None)])
+    def test_non_permutation_generators_rejected(self, images):
+        with pytest.raises(InvalidArgument, match="not a permutation"):
+            PermGroup([images])
+        with pytest.raises(InvalidArgument, match="not a permutation"):
+            PermGroup([parse_perm("(1,2)", 3), Perm(images)], 3)
+
 
 class TestNamedGroups:
     @pytest.mark.parametrize(
@@ -389,27 +405,30 @@ class TestConjugacyClasses:
             assert G._class_of[t] == idx
 
     def test_class_map_memory(self):
-        """S:8's cycle types each hold one class, so its class map holds no
-        element; A:8's holds exactly the members of the two cycle types
-        that split, the 7-cycles and the products of a 5- and a 3-cycle."""
-        tracemalloc.start()
-        try:
-            G = named_group("S:8")
-            conjugacy_classes(G)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < 1_000_000 and peak < 3_000_000
-        assert G._class_of.split == {}
-        A8 = named_group("A:8")
-        classes = conjugacy_classes(A8)
-        per_type = Counter(_cycle_type(c.representative.images) for c in classes)
+        """Sym(n) and Alt(n) take their classes from partitions, so the
+        class maps of S:8 and A:8 hold no element: A:8's two cycle types
+        that split, the 7-cycles and the products of a 5- and a 3-cycle,
+        are told apart by alignment parity.  The element walk, their test
+        oracle, holds exactly the members of those two types."""
+        for name in ("S:8", "A:8"):
+            tracemalloc.start()
+            try:
+                G = named_group(name)
+                conjugacy_classes(G)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 1_000_000 and peak < 3_000_000, name
+            assert isinstance(G._class_of, _TypeClassMap), name
+        assert G._class_of.halves.keys() == {(7,), (5, 3)}
+        raw, walk_map = _walk_classes(named_group("A:8"))
+        per_type = Counter(_cycle_type(rep) for _, _, rep, _ in raw)
         split_types = {key for key, n in per_type.items() if n > 1}
         assert split_types == {(7,), (5, 3)}
-        assert len(A8._class_of.split) == 8448 == sum(
-            c.size for c in classes if _cycle_type(c.representative.images) in split_types
+        assert len(walk_map.split) == 8448 == sum(
+            size for _, size, rep, _ in raw if _cycle_type(rep) in split_types
         )
-        assert all(_cycle_type(t) in split_types for t in A8._class_of.split)
+        assert all(_cycle_type(t) in split_types for t in walk_map.split)
 
     def test_large_group_refused_without_its_chain(self):
         G = named_group("S:150")
@@ -429,6 +448,99 @@ class TestConjugacyClasses:
     def test_class_index_of_rejects_outsiders(self):
         with pytest.raises(InvalidArgument):
             class_index_of(named_group("A:4"), parse_perm("(1,2)", 4))
+
+
+def _relabelled(G, seed):
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    return G.conjugate_subgroup(Perm(sigma))
+
+
+def _padded(G, points):
+    """G acting on its points plus ``points`` fixed ones."""
+    n = G.degree
+    return PermGroup([Perm(g.images + tuple(range(n, n + points))) for g in G.generators], n + points)
+
+
+NATURAL_GROUPS = [f"S:{n}" for n in range(1, 9)] + [f"A:{n}" for n in range(3, 9)]
+
+NEAR_MISSES = {
+    "S:7 on 8 points": lambda: _padded(named_group("S:7"), 1),  # order 7!
+    "A:7 on 8 points": lambda: _padded(named_group("A:7"), 1),  # order 7!/2
+    "S:4 on 6 points": lambda: _padded(named_group("S:4"), 2),
+    "S:4 wr C:2": lambda: named_group("wr:S:4~C:2"),
+    "D:8": lambda: named_group("D:8"),  # order 8 on 4 points: 4!/3
+    "C3 x C3": lambda: PermGroup([Perm((1, 2, 0, 3, 4, 5)), Perm((0, 1, 2, 4, 5, 3))], 6),
+}
+
+
+class TestPartitionClasses:
+    """The classes of Sym(n) and Alt(n) from partitions, against the
+    element walk that every other group takes."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("name", NATURAL_GROUPS)
+    def test_partition_classes_equal_the_walk(self, name, relabel):
+        def build():
+            G = named_group(name)
+            return _relabelled(G, name) if relabel else G
+
+        G, oracle = build(), build()
+        assert natural_kind(G) == (SYMMETRIC if name[0] == "S" else ALTERNATING)
+        classes = conjugacy_classes(G)
+        assert isinstance(G._class_of, _TypeClassMap)
+        raw, walk_map = _walk_classes(oracle)
+        assert [(c.element_order, c.size, c.representative.images) for c in classes] == [
+            r[:3] for r in raw
+        ]
+        for t in oracle.chain.iter_elements():
+            assert G._class_of[t] == walk_map[t]
+        inverses = [_inv(c.representative.images) for c in classes]
+        assert [G._class_of[t] for t in inverses] == [walk_map[t] for t in inverses]
+
+    def test_representatives_and_sizes_follow_the_partition(self):
+        # S:5, cycle type (3, 2): no fixed point, then the 2-cycle and the
+        # 3-cycle, each on consecutive points.
+        classes = conjugacy_classes(named_group("S:5"))
+        c = next(c for c in classes if c.representative.cycle_type() == (3, 2))
+        assert c.representative.cycle_string() == "(1,2)(3,4,5)"
+        assert (c.size, c.element_order) == (20, 6)
+        # A:5's 5-cycles split into two classes of 12; the second
+        # representative swaps the last two points of the first.
+        fives = [c for c in conjugacy_classes(named_group("A:5")) if c.element_order == 5]
+        assert [(c.representative.cycle_string(), c.size) for c in fives] == [
+            ("(1,2,3,4,5)", 12),
+            ("(1,2,3,5,4)", 12),
+        ]
+
+    @pytest.mark.parametrize("label", sorted(NEAR_MISSES))
+    def test_near_misses_take_the_walk(self, label):
+        build = NEAR_MISSES[label]
+        G = build()
+        assert natural_kind(G) is None
+        classes = conjugacy_classes(G)
+        assert isinstance(G._class_of, _ClassMap)
+        expected, class_of = TestConjugacyClasses.sorted_elements_classes(build())
+        assert [(c.element_order, c.size, c.representative.images) for c in classes] == expected
+        for t, idx in class_of.items():
+            assert G._class_of[t] == idx
+
+    def test_small_cyclic_groups_are_natural(self):
+        # C:2 on 2 points is Sym(2), and C:3 on 3 points is Alt(3), whose
+        # one cycle type of 3-cycles splits into two classes.
+        assert natural_kind(named_group("C:2")) == SYMMETRIC
+        C3 = named_group("C:3")
+        assert natural_kind(C3) == ALTERNATING
+        assert [c.representative.cycle_string() for c in conjugacy_classes(C3)] == [
+            "()", "(1,2,3)", "(1,3,2)",
+        ]
+
+    def test_odd_generator_of_an_index_two_subgroup_is_a_defect(self):
+        # A wrapper that breaks _from_chain's contract: the chain is
+        # Alt(5)'s, the generator a transposition.
+        G = PermGroup._from_chain(named_group("A:5").chain, [Perm((1, 0, 2, 3, 4))])
+        with pytest.raises(EngineDefect, match="odd generator"):
+            conjugacy_classes(G)
 
 
 class TestCentralizerNormalizer:
