@@ -51,13 +51,12 @@ class BlockPartition:
 def block_partition(T: CharacterTable, p: int) -> BlockPartition:
     """The p-block partition of Irr(G), with defects and heights."""
     key = ("blocks", p)
-    if key in T.group._cache:
-        return T.group._cache[key]
+    if key in T._cache:
+        return T._cache[key]
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not a prime")
     k = T.k
-    order = T.group.order
-    a = p_adic_valuation(order, p)
+    a = p_adic_valuation(T.order, p)
     regular = [j for j, c in enumerate(T.classes) if c.element_order % p != 0]
     inv = T.inverse_classes
     e = lcm(*(v.conductor for row in T.values for v in row))
@@ -115,7 +114,7 @@ def block_partition(T: CharacterTable, p: int) -> BlockPartition:
             )
         )
     bp = BlockPartition(prime=p, a=a, blocks=tuple(blocks))
-    T.group._cache[key] = bp
+    T._cache[key] = bp
     return bp
 
 

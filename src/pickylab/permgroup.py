@@ -433,15 +433,11 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return all(g in other for g in self.generators)
+        return self.degree == other.degree and all(g in other for g in self.generators)
 
     def same_group(self, other: "PermGroup") -> bool:
         """Equality as subgroups of Sym(n): equal orders + mutual membership."""
-        return (
-            self.degree == other.degree
-            and self.order == other.order
-            and self.is_subgroup_of(other)
-        )
+        return self.order == other.order and self.is_subgroup_of(other)
 
     def conjugate_subgroup(self, g: Perm) -> "PermGroup":
         return PermGroup([h.conj(g) for h in self.generators], self.degree)
@@ -806,14 +802,6 @@ def conjugacy_classes(G: PermGroup) -> list[ConjugacyClass]:
     return G._classes
 
 
-def class_index_of(G: PermGroup, x: Perm) -> int:
-    """Index of the conjugacy class of x in conjugacy_classes(G)."""
-    if x not in G:
-        raise InvalidArgument("element does not belong to the group")
-    conjugacy_classes(G)
-    return G._class_of[x.images]
-
-
 def exponent(G: PermGroup) -> int:
     return lcm(*(c.element_order for c in conjugacy_classes(G)))
 
@@ -961,8 +949,9 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
             break
         else:  # pragma: no cover - Sylow theory guarantees progress
             raise EngineDefect("no p-element found in the normalizer of a proper p-subgroup")
-    if Q.is_trivial():
-        data = SylowData(p, Q, (Perm.identity(G.degree),), G)
+    if Q.is_trivial():  # N_G(1) = G, a new object: G's cache holding G is a cycle
+        N = PermGroup._from_chain(G.chain, G.generators)
+        data = SylowData(p, Q, (Perm.identity(G.degree),), N)
     else:
         start = Q.element_fingerprint()
         transversal, N = _orbit_stabilizer(G, start, _conj_set, Q.generators)
@@ -1063,8 +1052,8 @@ def _named_group(kind: str, args: list[int]) -> PermGroup:
         return PermGroup(_symmetric_gens(n), max(n, 1))
     if kind == "A":
         (n,) = args
-        if n < 3:
-            return PermGroup([], max(n, 1))
+        if n < 1:
+            raise ParseError("A:n needs n >= 1")
         gens = [Perm.from_cycles([[1, 2, k]], n) for k in range(3, n + 1)]
         return PermGroup(gens, n)
     if kind == "C":

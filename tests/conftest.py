@@ -1,6 +1,10 @@
+import gc
+
 import pytest
 
+from pickylab.chartab import CharacterTable
 from pickylab.cli import load_catalog
+from pickylab.permgroup import PermGroup, SylowData, _Chain
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +27,29 @@ def small_catalog_groups(full_catalog_groups):
         for label, (G, primes) in full_catalog_groups.items()
         if G.order <= 200
     }
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, with every object it would free kept in
+    ``gc.garbage``.  Returns a function that collects once, turns the
+    collector back on and returns the group objects, tables, chains and
+    Sylow data among the kept objects: none, when reference counting alone
+    frees them."""
+
+    def restore():
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+    def leftovers():
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, (PermGroup, CharacterTable, _Chain, SylowData))]
+        restore()
+        return kept
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    yield leftovers
+    restore()

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from pickylab import chartab, cli
 from pickylab.blocks import block_partition, principal_block
 from pickylab.chartab import _dixon_table, _verify_table, character_table
 from pickylab.cli import run_batch
@@ -225,10 +226,34 @@ class TestCriterion7CrossImplementation:
 
 
 class TestCriterion8Determinism:
-    def test_criterion_8_batch_byte_identical(self):
+    def test_criterion_8_batch_byte_identical(self, collector_off, monkeypatch):
+        # The first run keeps everything the cyclic collector would free:
+        # no group object, table, chain or Sylow data may be among it.  So
+        # reference counting alone frees them, and both runs build the
+        # same tables, each subgroup at most once per catalog entry.
+        monkeypatch.setattr(chartab, "_shared_tables", {})
+        log = []  # per entry, its label and then the element set of each table built
+        build, entry_reports = chartab._build_table, cli._entry_reports
+
+        def logged_build(G):
+            log[-1].append(frozenset(G.chain.iter_elements()))
+            return build(G)
+
+        def logged_entry(entry, timings):
+            log.append([entry.label])
+            return entry_reports(entry, timings)
+
+        monkeypatch.setattr(chartab, "_build_table", logged_build)
+        monkeypatch.setattr(cli, "_entry_reports", logged_entry)
         a = json.dumps(run_batch("full"), sort_keys=True, separators=(",", ":"))
+        assert collector_off() == []
+        first = log.copy()
+        log.clear()
         b = json.dumps(run_batch("full"), sort_keys=True, separators=(",", ":"))
         assert a == b
+        assert log == first
+        assert sum(len(built) - 1 for built in first) == 121
+        assert all(len(set(built)) == len(built) for built in first)
         # The recorded output of the benchmark's reference run.
         assert a == (ROOT / "perfbench" / "reference" / "full_batch.json").read_text()
         print("\nACCEPTANCE 8 (batch determinism, full catalog): PASS")

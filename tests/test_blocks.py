@@ -9,10 +9,9 @@ from pickylab.exactnum import Cyclotomic, p_adic_valuation, prime_factors
 from pickylab.permgroup import named_group
 
 
-def brute_link_sum(T, i, l, p):
+def brute_link_sum(G, T, i, l, p):
     """Independent linking oracle: sum chi(g) psi(g^-1) over the p-regular
-    elements one element at a time, via the class map."""
-    G = T.group
+    elements of G, T its table, one element at a time, via the class map."""
     total = Cyclotomic.from_rational(0)
     for g in G.elements():
         if g.order() % p == 0:
@@ -41,7 +40,7 @@ def classwise_blocks(T, p):
                 merged = linked[i] | linked[l]
                 for r in merged:
                     linked[r] = merged
-    a = p_adic_valuation(T.group.order, p)
+    a = p_adic_valuation(T.order, p)
     out = []
     for rows in {frozenset(c) for c in linked.values()}:
         vals = {i: p_adic_valuation(T.degrees[i], p) for i in rows}
@@ -66,7 +65,7 @@ class TestAgainstClasswiseSums:
     @pytest.mark.parametrize("source", ["S:8", "C:24"])
     def test_at_every_prime_of_the_order(self, source):
         T = character_table(named_group(source))
-        for p in prime_factors(T.group.order) + (11,):
+        for p in prime_factors(T.order) + (11,):
             assert engine_blocks(T, p) == classwise_blocks(T, p), (source, p)
 
 
@@ -86,10 +85,11 @@ class TestS3Fixtures:
     def test_p2_link_sums_elementwise(self):
         # the three pairwise p-regular sums are 6, 0, 0 over elements
         # (class-weighted: 3, 0, 0 against |C_e| = 1, |C_3cyc| = 2)
-        T = character_table(named_group("S:3"))
-        s01 = brute_link_sum(T, 0, 1, 2)
-        s02 = brute_link_sum(T, 0, 2, 2)
-        s12 = brute_link_sum(T, 1, 2, 2)
+        G = named_group("S:3")
+        T = character_table(G)
+        s01 = brute_link_sum(G, T, 0, 1, 2)
+        s02 = brute_link_sum(G, T, 0, 2, 2)
+        s12 = brute_link_sum(G, T, 1, 2, 2)
         assert s01 == 3 and s02.is_zero() and s12.is_zero()
 
     def test_p3(self):
@@ -126,7 +126,7 @@ class TestPartitionProperties:
 
                 for i in range(k):
                     for l in range(i + 1, k):
-                        if not brute_link_sum(T, i, l, p).is_zero():
+                        if not brute_link_sum(G, T, i, l, p).is_zero():
                             parent[find(l)] = find(i)
                 brute_blocks = {}
                 for i in range(k):

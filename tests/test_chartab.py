@@ -1,14 +1,15 @@
 """Character tables: values, extractors, and the exactness invariants."""
 
-import gc
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pickylab import chartab, conjectures
+from pickylab.blocks import block_partition
 from pickylab.chartab import (
     _table_from_scratch,
     cd,
@@ -18,7 +19,7 @@ from pickylab.chartab import (
     irr_pprime,
 )
 from pickylab.cli import load_catalog
-from pickylab.errors import ScaleExceeded
+from pickylab.errors import InvalidArgument, ScaleExceeded
 from pickylab.exactnum import Cyclotomic, field_fingerprint
 from pickylab.permgroup import (
     Perm,
@@ -58,6 +59,14 @@ class TestSmallTables:
         a = character_table(named_group("wr:S:3~C:2")).to_json_dict()
         b = character_table(named_group("wr:S:3~C:2")).to_json_dict()
         assert a == b
+
+    def test_class_index_rejects_outsiders(self):
+        T = character_table(named_group("A:4"))
+        assert T.class_index(parse_perm("(1,2,3)", 4)) in range(T.k)
+        for outsider in (parse_perm("(1,2)", 4), parse_perm("(1,2,3)", 5)):
+            assert outsider not in T
+            with pytest.raises(InvalidArgument, match="does not belong"):
+                T.class_index(outsider)
 
     def test_scale_bound(self):
         # S9 (order 362880) is refused from a chain stopped past the bound.
@@ -109,14 +118,29 @@ class TestSharedTables:
             fresh = _table_from_scratch(PermGroup(list(H.generators), H.degree))
             assert fresh.to_json_dict() == T.to_json_dict()
 
-    def test_tables_are_held_weakly(self, build_log):
+    def test_tables_are_held_weakly(self, build_log, collector_off):
+        # A table refers to no group, so reference counting alone frees it
+        # with the last group object that caches it.
         G = named_group("D:12")
         key = (G.degree, G.order)
         character_table(G)
         assert len(chartab._shared_tables[key]) == 1
         del G
-        gc.collect()
         assert not chartab._shared_tables.get(key)
+        assert collector_off() == []
+
+    def test_table_outlives_the_group_that_built_it(self, build_log):
+        G = named_group("S:4")
+        T = character_table(G)
+        same = G.conjugate_subgroup(parse_perm("(1,2)", 4))
+        assert character_table(same) is T
+        gone = weakref.ref(G)
+        del G, T
+        assert gone() is None
+        T = character_table(same)
+        assert T.class_index(parse_perm("(1,3,2,4)", 4)) == 4
+        assert [len(b) for b in block_partition(T, 3).blocks] == [3, 1, 1]
+        assert len(build_log) == 1
 
     def test_threads_share_one_build(self, build_log):
         S4 = named_group("S:4")

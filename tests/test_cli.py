@@ -132,6 +132,12 @@ class TestErrors:
         code, _, err = invoke(capsys, "table", "X:9")
         assert code == EXIT_ERROR and "unknown group source" in err
 
+    @pytest.mark.parametrize("source", ["A:0", "S:0", "C:0"])
+    def test_empty_named_group_is_refused(self, capsys, source):
+        code, out, err = invoke(capsys, "table", source)
+        assert code == EXIT_ERROR == 2
+        assert out == "" and "unknown group source" in err
+
     def test_malformed_permutation(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2")
         assert code == EXIT_ERROR

@@ -318,18 +318,19 @@ class TestSignatureMemo:
                 monkeypatch.setitem(T._cache, key, dict.fromkeys(conjectures.VARIANTS, ()))
         memos = (field_fingerprint, algebraic_p_part)
         before = [f.cache_info() for f in memos]
-        fresh_tables = []
+        fresh = []  # (group, table) for each table built from scratch
 
         def recording(G):
-            fresh_tables.append(original(G))
-            return fresh_tables[-1]
+            fresh.append((G, original(G)))
+            return fresh[-1][1]
 
         original = conjectures._table_from_scratch
         monkeypatch.setattr(conjectures, "_table_from_scratch", recording)
         assert _reverify_mismatch(S4, C4, x, 2, "plain")
         assert [f.cache_info() for f in memos] == before
-        assert [T.group.order for T in fresh_tables] == [24, 4]
-        assert all(T._cache == {} for T in fresh_tables)
+        assert [(G.order, T.order) for G, T in fresh] == [(24, 24), (4, 4)]
+        assert all(G is not K for (G, _), K in zip(fresh, (S4, C4)))
+        assert all(T._cache == {} for _, T in fresh)
 
 
 class TestPickyConjecture:
@@ -381,6 +382,15 @@ class TestFusionLemma:
 
     def test_s5_p2_sweep(self):
         assert check_fusion_lemma(named_group("S:5"), 2).status == "holds"
+
+
+class TestObjectLifetimes:
+    def test_prime_not_dividing_the_order_leaves_no_reference_cycles(self, collector_off):
+        # N_G(P) for the trivial Sylow 5-subgroup of S4 is S4 itself, kept
+        # on S4 as a new group object, so the Sylow data refers back to no
+        # group that holds it.
+        run_all_checks(named_group("S:4"), 5)
+        assert collector_off() == []
 
 
 class TestHarness:

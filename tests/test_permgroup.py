@@ -32,7 +32,6 @@ from pickylab.permgroup import (
     _walk_classes,
     centralizer,
     check_order_bound,
-    class_index_of,
     conjugacy_classes,
     derived_length,
     derived_series,
@@ -275,6 +274,8 @@ class TestNamedGroups:
             ("S:7", 5040),
             ("A:4", 12),
             ("A:5", 60),
+            ("A:1", 1),
+            ("A:2", 1),
             ("C:6", 6),
             ("C:1", 1),
             ("D:8", 8),
@@ -295,6 +296,11 @@ class TestNamedGroups:
     def test_unknown_constructor(self):
         with pytest.raises(ParseError):
             named_group("X:5")
+
+    @pytest.mark.parametrize("source", ["A:0", "S:0", "C:0"])
+    def test_constructors_need_a_point(self, source):
+        with pytest.raises(ParseError, match="needs n >= 1"):
+            named_group(source)
 
     def test_generator_file_parsing(self):
         text = """
@@ -444,10 +450,6 @@ class TestConjugacyClasses:
         G = named_group("S:8")
         _table_from_scratch(G)
         assert G._classes is not None and G._elements is None
-
-    def test_class_index_of_rejects_outsiders(self):
-        with pytest.raises(InvalidArgument):
-            class_index_of(named_group("A:4"), parse_perm("(1,2)", 4))
 
 
 def _relabelled(G, seed):

@@ -813,6 +813,14 @@ class TestChainLength:
         with pytest.raises(InvalidArgument):
             chain_length(named_group("A:4"), PermGroup([parse_perm("(1,2)", 4)]))
 
+    def test_degree_mismatch_is_refused(self):
+        # A generator-free group of another degree is no subgroup either.
+        S4, other = named_group("S:4"), PermGroup([], 2)
+        with pytest.raises(InvalidArgument, match="not a subgroup"):
+            chain_length(S4, other)
+        with pytest.raises(InvalidArgument, match="not a subgroup"):
+            normalizer(S4, other)
+
     def test_scale_bound(self):
         G = named_group("S:8")
         with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
