@@ -31,7 +31,7 @@ import threading
 import weakref
 from fractions import Fraction
 
-from .config import TABLE_BOUND
+from .config import ENUM_BOUND, TABLE_BOUND
 from .errors import EngineDefect, InvalidArgument
 from .exactnum import Cyclotomic, is_prime, p_part, prime_factors
 from . import symfast
@@ -41,6 +41,7 @@ from .permgroup import (
     PermGroup,
     Perm,
     _conj,
+    _identity,
     _mul,
     _orbit,
     check_order_bound,
@@ -365,7 +366,7 @@ def _dixon_table(G: PermGroup) -> CharacterTable:
     for j, rep in enumerate(reps):
         m = orders[j]
         row = []
-        x = G.identity()
+        x = Perm.identity(G.degree)
         for _u in range(m):
             row.append(class_of[x.images])
             x = x * rep
@@ -564,11 +565,12 @@ def irr_nonvanishing_on(
     With the identity included (the literal reading) this is all of Irr(G);
     ``nonidentity_only`` quantifies over S minus the identity instead.
     """
-    class_idxs = set()
-    for s in S.elements():
-        if nonidentity_only and s.is_identity():
-            continue
-        class_idxs.add(T.class_index(s))
+    if S.degree != T.degree or not all(s in T for s in S.generators):
+        raise InvalidArgument("S is not a subgroup of the table's group")
+    check_order_bound(S, ENUM_BOUND, "enumeration")
+    class_idxs = {T._class_of[t] for t in S.chain.iter_elements()}
+    if nonidentity_only:  # no other element lies in the identity's class
+        class_idxs.discard(T._class_of[_identity(S.degree)])
     return [i for i in range(T.k) if any(not T.values[i][j].is_zero() for j in class_idxs)]
 
 

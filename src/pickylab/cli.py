@@ -33,6 +33,7 @@ from .permgroup import (
     PermGroup,
     conjugacy_classes,
     group_from_source,
+    is_named_source,
     named_group,
     parse_generator_text,
     parse_perm,
@@ -130,12 +131,14 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                     raise ParseError(f"{where}.primes: {p!r} is not a prime")
         gen_text = None
         try:
-            named_group(source)
-        except ParseError:
-            try:
+            if is_named_source(source):
+                named_group(source)
+            else:
                 gen_text = reader(source)
-            except OSError as exc:
-                raise ParseError(f"{where}.source: cannot read {source!r}: {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"{where}.source: {exc}") from exc
+        except OSError as exc:
+            raise ParseError(f"{where}.source: cannot read {source!r}: {exc}") from exc
         out.append(CatalogEntry(label=label, source=source, primes=primes, generator_text=gen_text))
     return out
 

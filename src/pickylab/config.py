@@ -7,11 +7,12 @@ for subnormalizer sweeps).
 """
 
 # Largest |G| for which all elements may be walked or materialised.
-# Conjugacy classes walk the elements but no longer hold them all: only
-# one conjugation orbit at a time, plus the members of cycle types that
-# split into several classes; Sym(n) and Alt(n) walk none, their classes
-# come from the partitions of n.  Sorted element lists (brute-force
-# sweeps, covering analysis) are held whole.
+# Every walk streams image tuples from the stabilizer chain, and no group
+# object keeps them.  Conjugacy classes hold one conjugation orbit at a
+# time, plus the members of cycle types that split into several classes;
+# Sym(n) and Alt(n) walk none, their classes come from the partitions of
+# n.  Held whole, for one call: a subgroup's element set (normalizers,
+# Sylow orbits, TI and covering scans) and chain_length's sorted scan of G.
 ENUM_BOUND = 100_000
 # Largest |G| for which a generic character table is computed; bigger
 # symmetric/wreath groups should go through the fast symmetric-group

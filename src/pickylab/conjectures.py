@@ -505,7 +505,7 @@ def check_fusion_lemma(G, p):
         # G-class of x, filtered into Sub, versus the Sub-class of x.
         orbit = _orbit([g.images for g in G.generators], x.images, _conj)
         sub_orbit = set(_orbit([g.images for g in sub.generators], x.images, _conj))
-        inside = {t for t in orbit if Perm(t) in sub}
+        inside = {t for t in orbit if sub.chain.contains(t)}
         if inside != sub_orbit:
             stray = sorted(inside - sub_orbit)[:3]
             violations.append(

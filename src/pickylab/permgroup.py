@@ -349,9 +349,13 @@ def _transversal_products(transversals, i: int, acc: tuple[int, ...]):
     """acc * u_i * u_(i-1) * ... * u_0 for every choice of u_j in
     transversals[j], with j = 0 varying fastest.  A module-level
     generator, so that no closure refers to itself and each walk is freed
-    without the cyclic collector."""
+    without the cyclic collector.  The last level maps one prebuilt
+    ``itemgetter(*acc)`` (b -> acc b, degree >= 2) over its transversal."""
     if i < 0:
         yield acc
+        return
+    if i == 0:
+        yield from map(itemgetter(*acc), transversals[0])
         return
     for u in transversals[i]:
         yield from _transversal_products(transversals, i - 1, _mul(acc, u))
@@ -360,9 +364,9 @@ def _transversal_products(transversals, i: int, acc: tuple[int, ...]):
 class PermGroup:
     """A finite permutation group given by generators.
 
-    Immutable once constructed.  Derived data (order, elements, conjugacy
-    classes, character table, Sylow structure) is computed lazily and
-    cached on the instance; all of it is deterministic.
+    Immutable once constructed.  Derived data (order, conjugacy classes,
+    character table, Sylow structure) is computed lazily and cached on the
+    instance; all of it is deterministic.  Elements are never kept.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -396,7 +400,6 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain = chain
-        self._elements: tuple[Perm, ...] | None = None
         self._classes = None
         self._class_of = None
         self._cache: dict = {}
@@ -422,15 +425,9 @@ class PermGroup:
         return self.order == 1
 
     def elements(self) -> tuple[Perm, ...]:
-        """All elements, sorted lexicographically by image tuple."""
-        if self._elements is None:
-            check_order_bound(self, ENUM_BOUND, "enumeration")
-            elems = sorted(self.chain.iter_elements())
-            self._elements = tuple(Perm(t) for t in elems)
-        return self._elements
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
+        """All elements, sorted by image tuple; a new tuple on every call."""
+        check_order_bound(self, ENUM_BOUND, "enumeration")
+        return tuple(Perm(t) for t in sorted(self.chain.iter_elements()))
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
@@ -444,7 +441,8 @@ class PermGroup:
 
     def element_fingerprint(self) -> frozenset:
         """Canonical identity of the subgroup: the frozen set of image tuples."""
-        return frozenset(p.images for p in self.elements())
+        check_order_bound(self, ENUM_BOUND, "enumeration")
+        return frozenset(self.chain.iter_elements())
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -920,10 +918,11 @@ class SylowData:
         return len(self.transversal)
 
 
-def _p_power_part(x: Perm, p: int) -> Perm:
-    """The p-part of the element x: x to the power of its p'-order."""
-    m = x.order()
-    return x ** (m // p_part(m, p))
+def _p_power_part(x: Perm, p: int, m: int) -> Perm:
+    """The p-part of x, of order m: x to the power of its p'-order (x for a
+    p-element)."""
+    k = m // p_part(m, p)
+    return x if k == 1 else x**k
 
 
 def sylow_data(G: PermGroup, p: int) -> SylowData:
@@ -939,9 +938,7 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
         N = G if Q.is_trivial() else normalizer(G, Q)
         for cand in N.chain.iter_elements():
             x = Perm(cand)
-            if x.is_identity():
-                continue
-            y = _p_power_part(x, p)
+            y = _p_power_part(x, p, x.order())
             if y.is_identity() or y in Q:
                 continue
             # y normalizes Q and has p-power order, so <Q, y> is a p-group.
@@ -980,7 +977,7 @@ def _sylow_containment(G: PermGroup, p: int, x: Perm) -> tuple[int, tuple[PermGr
             raise InvalidArgument("element does not belong to the group")
         P, N = data.subgroup, data.normalizer
         # x in P^g  iff  x^(g^-1) in P
-        found = [g for g in data.transversal if Perm(_conj(x.images, _inv(g.images))) in P]
+        found = [g for g in data.transversal if P.chain.contains(_conj(x.images, _inv(g.images)))]
         if not found:  # pragma: no cover - Sylow covering guarantees a hit
             raise EngineDefect("p-element lies in no Sylow p-subgroup")
         g = found[0]
@@ -1005,7 +1002,10 @@ def is_ti_sylow(G: PermGroup, p: int) -> bool:
     """Whether distinct Sylow p-subgroups intersect trivially.
 
     Cross-checked against the equivalent statement that every nontrivial
-    element of P lies in a unique Sylow p-subgroup.  Cached per p."""
+    element of P lies in a unique Sylow p-subgroup, and against n_p = 1 mod
+    |P|, which does not reuse the scan: for Q != P, (P meet N_G(Q)) Q is a
+    p-subgroup of N_G(Q), so it is Q, and P acts on the other Sylow
+    subgroups with stabilizers P meet Q, trivial if P is TI.  Cached per p."""
     key = ("ti_sylow", p)
     if key in G._cache:
         return G._cache[key]
@@ -1013,21 +1013,24 @@ def is_ti_sylow(G: PermGroup, p: int) -> bool:
     P = data.subgroup
     if P.is_trivial():
         return True
-    p_elems = [x for x in P.elements() if not x.is_identity()]
-    containment_counts = {x.images: 0 for x in p_elems}
+    check_order_bound(P, ENUM_BOUND, "enumeration")
+    ident = _identity(G.degree)
+    containment_counts = dict.fromkeys((t for t in P.chain.iter_elements() if t != ident), 0)
     ti = True
     for g in data.transversal:
         ginv = _inv(g.images)
         inter = 0
-        for x in p_elems:
-            if Perm(_conj(x.images, ginv)) in P:
+        for t in containment_counts:
+            if P.chain.contains(_conj(t, ginv)):
                 inter += 1
-                containment_counts[x.images] += 1
+                containment_counts[t] += 1
         if not g.is_identity() and inter != 0:
             ti = False
     every_picky = all(c == 1 for c in containment_counts.values())
     if ti != every_picky:
         raise EngineDefect("TI test disagrees with the every-element-picky test")
+    if ti and data.count % P.order != 1:
+        raise EngineDefect("TI Sylow subgroups whose number is not 1 mod |P|")
     G._cache[key] = ti
     return ti
 
@@ -1044,27 +1047,17 @@ def _symmetric_gens(n: int) -> list[Perm]:
     return gens
 
 
-def _named_group(kind: str, args: list[int]) -> PermGroup:
+def _named_group(kind: str, m: int) -> PermGroup:
+    """``kind:m``: Sym(m), Alt(m) or C_m on m points, D_m of order m, or Q8."""
+    if kind in "SAC" and m < 1:
+        raise ParseError(f"{kind}:n needs n >= 1")
     if kind == "S":
-        (n,) = args
-        if n < 1:
-            raise ParseError("S:n needs n >= 1")
-        return PermGroup(_symmetric_gens(n), max(n, 1))
+        return PermGroup(_symmetric_gens(m), m)
     if kind == "A":
-        (n,) = args
-        if n < 1:
-            raise ParseError("A:n needs n >= 1")
-        gens = [Perm.from_cycles([[1, 2, k]], n) for k in range(3, n + 1)]
-        return PermGroup(gens, n)
-    if kind == "C":
-        (n,) = args
-        if n < 1:
-            raise ParseError("C:n needs n >= 1")
-        if n == 1:
-            return PermGroup([], 1)
-        return PermGroup([Perm.from_cycles([list(range(1, n + 1))], n)], n)
-    if kind == "D":
-        (m,) = args  # m = group order 2n, acting on n points
+        return PermGroup([Perm.from_cycles([[1, 2, k]], m) for k in range(3, m + 1)], m)
+    if kind == "C":  # C:1's one cycle is the identity, which is dropped
+        return PermGroup([Perm.from_cycles([list(range(1, m + 1))], m)], m)
+    if kind == "D":  # m = group order 2n, acting on n points
         if m < 6 or m % 2:
             raise ParseError("D:m needs an even order m >= 6")
         n = m // 2
@@ -1072,7 +1065,6 @@ def _named_group(kind: str, args: list[int]) -> PermGroup:
         refl = Perm([n - 1 - i for i in range(n)])
         return PermGroup([rot, refl], n)
     if kind == "Q":
-        (m,) = args
         if m != 8:
             raise ParseError("only Q:8 is supported")
         return _quaternion8()
@@ -1128,6 +1120,16 @@ _NAMED_RE = re.compile(r"^([SACDQ]):(\d+)$")
 _WREATH_RE = re.compile(r"^wr:(.+)~C:2$")
 
 
+def is_named_source(source: str) -> bool:
+    """Whether ``source`` has a named constructor's shape, whether or not
+    the constructor accepts its arguments; other text names a file."""
+    source = source.strip()
+    m = _WREATH_RE.match(source)
+    if m:
+        return is_named_source(m.group(1))
+    return _NAMED_RE.match(source) is not None
+
+
 def named_group(source: str) -> PermGroup:
     """Parse named constructors: S:n, A:n, C:n, D:2n, Q:8, wr:S:n~C:2."""
     source = source.strip()
@@ -1136,7 +1138,7 @@ def named_group(source: str) -> PermGroup:
         return _wreath_c2(named_group(m.group(1)))
     m = _NAMED_RE.match(source)
     if m:
-        return _named_group(m.group(1), [int(m.group(2))])
+        return _named_group(m.group(1), int(m.group(2)))
     raise ParseError(f"unrecognised group constructor {source!r}")
 
 
@@ -1158,13 +1160,9 @@ def parse_generator_text(text: str) -> PermGroup:
     return PermGroup(padded, degree)
 
 
-def group_from_source(source: str, read_file=None) -> PermGroup:
+def group_from_source(source: str, read_file) -> PermGroup:
     """Resolve a group source: a named constructor, else a generator file
     (read through ``read_file``, which maps a path to its text)."""
-    try:
+    if is_named_source(source):
         return named_group(source)
-    except ParseError:
-        pass
-    if read_file is None:
-        raise ParseError(f"cannot resolve group source {source!r}")
     return parse_generator_text(read_file(source))

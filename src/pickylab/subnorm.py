@@ -52,11 +52,12 @@ under conjugation.  The identity has no primes and keeps its one coset, G.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .config import CHAIN_LENGTH_BOUND, SUBNORMALIZER_BOUND
+from .config import CHAIN_LENGTH_BOUND, ENUM_BOUND, SUBNORMALIZER_BOUND
 from .errors import EngineDefect, InvalidArgument
 from .exactnum import p_part, prime_factors, prime_of_power
 from .permgroup import (
@@ -110,9 +111,8 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
     if xg in x_tuples:
         return True
     for q in prime_factors(x_order):
-        k = x_order // p_part(x_order, q)  # x_q = x^k; k = 1 for a q-element x
-        xq = (x**k).images if k > 1 else xt
-        xqg = _conj(xq, gt) if k > 1 else xg
+        xq = _p_power_part(x, q, x_order).images  # x itself for a q-element x
+        xqg = xg if xq is xt else _conj(xq, gt)
         if not is_p_element(Perm(_mul(_inv(xq), xqg)), q):
             return False  # [x_q, g] lies in the normal closure of <x_q>
         if not _is_subnormal_tuples([xq], q, [xt, gt], len(xt), group_order):
@@ -151,7 +151,7 @@ def _scan_subnormalizer(G: PermGroup, x: Perm) -> list[Perm]:
     transversal, N = _orbit_stabilizer(G, powers, _conj_set, [x])
     parts = []  # (x_q, the powers of x_q) for each prime q of o(x), ascending
     for q in prime_factors(x_order):
-        xq = _p_power_part(x, q)
+        xq = _p_power_part(x, q, x_order)
         parts.append((xq, frozenset((xq**k).images for k in range(xq.order()))))
     # The cosets N u with <x_q> subnormal in <x_q, x_q^u> for every q.
     kept = [
@@ -284,25 +284,16 @@ def covering_analysis(G: PermGroup, p: int) -> CoveringAnalysis:
     does a picky element exist?  The two answers must agree."""
     data = sylow_data(G, p)
     P = data.subgroup
-    sylow_sets = []
-    for g in data.transversal:
-        gt = g.images
-        sylow_sets.append(frozenset(_conj(t.images, gt) for t in P.elements()))
-    all_needed = True
-    for i, Q in enumerate(sylow_sets):
-        # Q is needed iff some element of Q lies in no other Sylow subgroup.
-        needed = any(
-            all(t not in other for j, other in enumerate(sylow_sets) if j != i) for t in Q
-        )
-        if not needed:
-            all_needed = False
-            break
-    picky_exists = False
-    for x in p_element_class_representatives(G, p, include_identity=True):
-        report = picky_report(G, p, x)
-        if report.is_picky:
-            picky_exists = True
-            break
+    check_order_bound(P, ENUM_BOUND, "enumeration")
+    p_elements = list(P.chain.iter_elements())
+    sylow_sets = [frozenset(_conj(t, g.images) for t in p_elements) for g in data.transversal]
+    # Q is needed iff some element of Q lies in no other Sylow subgroup.
+    containing = Counter(t for Q in sylow_sets for t in Q)
+    all_needed = all(any(containing[t] == 1 for t in Q) for Q in sylow_sets)
+    picky_exists = any(
+        picky_report(G, p, x).is_picky
+        for x in p_element_class_representatives(G, p, include_identity=True)
+    )
     if all_needed != picky_exists:
         raise EngineDefect("covering criterion disagrees with picky existence")
     return CoveringAnalysis(all_sylows_needed=all_needed, picky_exists=picky_exists)
@@ -342,10 +333,11 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
     enumerated.
     """
     check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
+    check_order_bound(G, ENUM_BOUND, "enumeration")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
     memo: dict[tuple, list[tuple[PermGroup, int]]] = {}  # key -> (K, longest(K))
-    return _longest(N, _subgroup_key(N), G.order, G.elements(), memo)
+    return _longest(N, _subgroup_key(N), G.order, sorted(G.chain.iter_elements()), memo)
 
 
 def _subgroup_key(K: PermGroup) -> tuple:
@@ -365,9 +357,9 @@ def _image(point: int, g: tuple[int, ...]) -> int:
 
 
 def _longest(H: PermGroup, key: tuple, group_order: int, g_elements, memo) -> int:
-    """longest(H) in the group of order ``group_order`` whose elements are
-    ``g_elements``; ``key`` is H's ``_subgroup_key``, and ``memo`` is shared
-    by one ``chain_length`` call."""
+    """longest(H) in the group of order ``group_order`` whose sorted image
+    tuples are ``g_elements``; ``key`` is H's ``_subgroup_key``, and
+    ``memo`` is shared by one ``chain_length`` call."""
     if H.order == group_order:
         return 0
     same_key = memo.setdefault(key, [])
@@ -392,10 +384,9 @@ def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[tuple[tuple,
     right = [s.images for s in H.generators]
     by_key: dict[tuple, list[PermGroup]] = {}
     for g in g_elements:
-        gt = g.images
-        if gt in seen:
+        if g in seen:
             continue
-        for gk in _cyclic_generators(gt):
+        for gk in _cyclic_generators(g):
             if gk not in seen:  # seen is a union of double cosets
                 _mark_double_coset(gk, left, right, seen)
         K = extended_group(H, [g], group_order)

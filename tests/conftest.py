@@ -1,4 +1,5 @@
 import gc
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +28,24 @@ def small_catalog_groups(full_catalog_groups):
         for label, (G, primes) in full_catalog_groups.items()
         if G.order <= 200
     }
+
+
+@pytest.fixture
+def no_sorted_elements(monkeypatch):
+    """A context manager inside which ``PermGroup.elements()`` fails, so a
+    program path that lists the sorted elements, even through a dynamic
+    lookup, fails the test."""
+
+    def refused(self):
+        raise AssertionError("PermGroup.elements() was called")
+
+    @contextmanager
+    def forbid():
+        with monkeypatch.context() as m:
+            m.setattr(PermGroup, "elements", refused)
+            yield
+
+    return forbid
 
 
 @pytest.fixture

@@ -132,11 +132,22 @@ class TestErrors:
         code, _, err = invoke(capsys, "table", "X:9")
         assert code == EXIT_ERROR and "unknown group source" in err
 
-    @pytest.mark.parametrize("source", ["A:0", "S:0", "C:0"])
+    REFUSED = {
+        "A:0": "A:n needs n >= 1",
+        "S:0": "S:n needs n >= 1",
+        "C:0": "C:n needs n >= 1",
+        "D:5": "D:m needs an even order m >= 6",
+        "wr:S:0~C:2": "S:n needs n >= 1",
+    }
+
+    @pytest.mark.parametrize("source", list(REFUSED))
     def test_empty_named_group_is_refused(self, capsys, source):
+        """A source shaped like a named constructor reports the
+        constructor's own refusal; it is never retried as a file."""
         code, out, err = invoke(capsys, "table", source)
         assert code == EXIT_ERROR == 2
-        assert out == "" and "unknown group source" in err
+        assert out == "" and self.REFUSED[source] in err
+        assert "unknown group source" not in err
 
     def test_malformed_permutation(self, capsys):
         code, _, err = invoke(capsys, "subnormalizer", "S:4", "-x", "(1,2")
@@ -265,6 +276,17 @@ class TestCatalog:
         for payload, needle in cases:
             cat = tmp_path / "bad.json"
             cat.write_text(json.dumps(payload))
+            with pytest.raises(ParseError, match=needle):
+                load_catalog(str(cat))
+
+    def test_refused_named_source_reports_the_constructor(self, tmp_path):
+        cat = tmp_path / "bad.json"
+        for source, needle in [
+            ("A:0", r"entries\[0\]\.source: A:n needs n >= 1"),
+            ("wr:D:5~C:2", r"entries\[0\]\.source: D:m needs an even order m >= 6"),
+            ("X:9", r"entries\[0\]\.source: cannot read 'X:9'"),
+        ]:
+            cat.write_text(json.dumps({"format": 1, "entries": [{"label": "G", "source": source}]}))
             with pytest.raises(ParseError, match=needle):
                 load_catalog(str(cat))
 

@@ -30,7 +30,7 @@ from pickylab.conjectures import (
 from pickylab.cli import load_catalog
 from pickylab.errors import InvalidArgument
 from pickylab.exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, prime_factors
-from pickylab.permgroup import PermGroup, named_group, parse_perm
+from pickylab.permgroup import PermGroup, _Chain, named_group, parse_perm
 
 
 class TestItoMichler:
@@ -410,28 +410,32 @@ class TestHarness:
     def test_ti_is_decided_once_per_group_and_prime(self, monkeypatch):
         # run_all_checks asks whether alperin_c applies and check_alperin_c
         # asks again; only the first question may scan the Sylow subgroup.
-        scans = 0
-        inside_ti = False
-        elements, is_ti_sylow = PermGroup.elements, conjectures.is_ti_sylow
+        # The scan tests membership in P through its chain, so each call's
+        # membership tests are counted: a call answered from the cache
+        # makes none.
+        counts = []  # membership tests per is_ti_sylow call
+        inside = False
+        contains, is_ti_sylow = _Chain.contains, conjectures.is_ti_sylow
 
-        def counting_elements(self):
-            nonlocal scans
-            scans += inside_ti
-            return elements(self)
+        def counting_contains(self, g):
+            if inside:
+                counts[-1] += 1
+            return contains(self, g)
 
         def watched_is_ti_sylow(G, p):
-            nonlocal inside_ti
-            inside_ti = True
+            nonlocal inside
+            counts.append(0)
+            inside = True
             try:
                 return is_ti_sylow(G, p)
             finally:
-                inside_ti = False
+                inside = False
 
-        monkeypatch.setattr(PermGroup, "elements", counting_elements)
+        monkeypatch.setattr(_Chain, "contains", counting_contains)
         monkeypatch.setattr(conjectures, "is_ti_sylow", watched_is_ti_sylow)
         reports = run_all_checks(named_group("A:4"), 3)
         assert any(r.check_name == "alperin_c" for r in reports)
-        assert scans == 1
+        assert len(counts) >= 2 and counts[0] > 0 and not any(counts[1:]), counts
 
     def test_run_check_dispatch(self):
         r = run_check("mckay", named_group("S:4"), 2, group_label="S4")

@@ -3,6 +3,7 @@ Sylow machinery, derived series, parsing.  The heavy lifting is oracled by
 plain brute force over element sets, which never touches the stabilizer
 chain."""
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pickylab.chartab import _table_from_scratch, character_table
+from pickylab import chartab, permgroup, subnorm
+from pickylab.chartab import _table_from_scratch, character_table, irr_nonvanishing_on
 from pickylab.cli import load_catalog
 from pickylab.errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from pickylab.permgroup import (
@@ -48,6 +50,7 @@ from pickylab.permgroup import (
     sylow_count_containing,
     sylow_data,
 )
+from pickylab.subnorm import chain_length, covering_analysis
 
 
 def brute_closure(gens, degree):
@@ -151,6 +154,39 @@ class TestOrderBound:
         with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
             G.elements()
         assert G._chain is None
+
+    def test_every_element_walk_keeps_the_enumeration_bound(self, monkeypatch):
+        """Each walk over a group's elements refuses a group above the
+        ENUM_BOUND of its own module: lowered to 4 there, below |P| = 8 for
+        S4 at p = 2, it is the walk's own check that fires."""
+        G = named_group("S:4")
+        P = sylow_data(G, 2).subgroup
+        T = character_table(G)
+        walks = [
+            (permgroup, P.elements),
+            (permgroup, P.element_fingerprint),
+            (permgroup, partial(is_ti_sylow, G, 2)),
+            (chartab, partial(irr_nonvanishing_on, T, P)),
+            (subnorm, partial(covering_analysis, G, 2)),
+            (subnorm, partial(chain_length, G, P)),
+        ]
+        for module, walk in walks:
+            with monkeypatch.context() as m:
+                m.setattr(module, "ENUM_BOUND", 4)
+                with pytest.raises(ScaleExceeded, match="enumeration bound 4"):
+                    walk()
+        assert is_ti_sylow(G, 2) is False and chain_length(G, P) == 1
+
+    def test_normalizer_of_a_large_subgroup_is_refused_unwalked(self, monkeypatch):
+        """N_G(H) is refused from H's order, before H's element set (the
+        orbit's start point) is listed."""
+
+        def refused(self):
+            raise AssertionError("an element walk started")
+
+        monkeypatch.setattr(_Chain, "iter_elements", refused)
+        with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
+            normalizer(named_group("S:9"), named_group("A:9"))
 
 
 class TestPerm:
@@ -399,11 +435,11 @@ class TestConjugacyClasses:
         return [r[:3] for r in raw], class_of
 
     @pytest.mark.parametrize("label", sorted(ORACLE_GROUPS))
-    def test_against_the_sorted_elements_algorithm(self, label):
+    def test_against_the_sorted_elements_algorithm(self, label, no_sorted_elements):
         build = ORACLE_GROUPS[label]
         G = build()
-        classes = conjugacy_classes(G)
-        assert G._elements is None
+        with no_sorted_elements():
+            classes = conjugacy_classes(G)
         expected, class_of = self.sorted_elements_classes(build())
         assert [(c.element_order, c.size, c.representative.images) for c in classes] == expected
         assert len(class_of) == G.order
@@ -442,14 +478,13 @@ class TestConjugacyClasses:
             conjugacy_classes(G)
         assert G._chain is None
 
-    def test_character_table_leaves_the_sorted_elements_unbuilt(self):
-        G = named_group("S:8")
-        character_table(G)
-        assert G._elements is None
-        # The same on a build from scratch, in case the table above was shared.
-        G = named_group("S:8")
-        _table_from_scratch(G)
-        assert G._classes is not None and G._elements is None
+    def test_character_table_leaves_the_sorted_elements_unbuilt(self, no_sorted_elements):
+        with no_sorted_elements():
+            character_table(named_group("S:8"))
+            # The same on a build from scratch, in case the table above was shared.
+            G = named_group("S:8")
+            _table_from_scratch(G)
+        assert G._classes is not None
 
 
 def _relabelled(G, seed):
@@ -671,6 +706,18 @@ class TestSylow:
         assert not is_ti_sylow(named_group("S:4"), 2)
         assert is_ti_sylow(named_group("Q:8"), 2)  # normal Sylow
         assert is_ti_sylow(named_group("A:4"), 3)
+
+    def test_ti_count_check_catches_a_short_transversal(self):
+        """A4 at p = 3 has four TI Sylow subgroups.  With one conjugator
+        dropped from the transversal, every element of P still lies in
+        exactly one listed Sylow subgroup, so the every-element-picky check
+        agrees; n_p = 3 is not 1 mod |P| = 3, and that check fires."""
+        G = named_group("A:4")
+        data = sylow_data(G, 3)
+        assert data.count == 4
+        G._cache[("sylow", 3)] = dataclasses.replace(data, transversal=data.transversal[:-1])
+        with pytest.raises(EngineDefect, match="not 1 mod"):
+            is_ti_sylow(G, 3)
 
 
 class TestDerivedSeries:

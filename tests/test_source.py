@@ -24,6 +24,21 @@ def test_no_assert_statements_in_src():
     assert found == [], f"assert statements vanish under python -O; raise EngineDefect: {found}"
 
 
+def test_no_program_path_lists_the_sorted_elements():
+    """``PermGroup.elements()`` builds a |G|-sized sorted list of Perms; every
+    walk in the package streams ``chain.iter_elements()`` instead, so no
+    call of ``.elements(`` appears under src/ (its definition aside)."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "elements"
+    ]
+    assert found == [], f"calls of .elements() in src/: {found}"
+
+
 ROOT = SRC.parents[1]
 
 
@@ -93,6 +108,9 @@ KEPT_API = {
     "covering_analysis",  # read by acceptance criterion 4, the lemma sweeps
     "zeta",  # Cyclotomic.zeta
     "coefficients",  # Cyclotomic.coefficients
+    # PermGroup.elements: the sorted reference the tests compare against,
+    # and read by perfbench/tracer.py (wrapped, and called in group_key).
+    "elements",
 }
 
 
