@@ -40,7 +40,7 @@ from .permgroup import (
     ConjugacyClass,
     PermGroup,
     Perm,
-    _conj,
+    _conjugator,
     _identity,
     _mul,
     _orbit,
@@ -484,8 +484,8 @@ def _class_matrix(G: PermGroup, classes, i: int, q: int, class_of) -> list[list[
     """M[j][l] = #{(x, y) in C_i x C_j : xy = rep_l} mod q, at k * |C_i| compositions:
     the inverses x^-1 of C_i's members are the conjugation orbit of rep_i^-1.
     ``class_of`` maps each element of G to its class index."""
-    gens = [g.images for g in G.generators]
-    inverses = _orbit(gens, classes[i].representative.inverse().images, _conj)
+    maps = [_conjugator(g.images) for g in G.generators]
+    inverses = _orbit(maps, classes[i].representative.inverse().images)
     M = [[0] * len(classes) for _ in classes]
     for l, c in enumerate(classes):
         rt = c.representative.images

@@ -50,7 +50,7 @@ from .exactnum import algebraic_p_part, field_fingerprint, p_adic_valuation, p_p
 from .permgroup import (
     Perm,
     PermGroup,
-    _conj,
+    _conjugator,
     _orbit,
     conjugacy_classes,
     derived_length,
@@ -503,8 +503,8 @@ def check_fusion_lemma(G, p):
             checked.append({"element": x.cycle_string(), "skipped": str(exc)})
             continue
         # G-class of x, filtered into Sub, versus the Sub-class of x.
-        orbit = _orbit([g.images for g in G.generators], x.images, _conj)
-        sub_orbit = set(_orbit([g.images for g in sub.generators], x.images, _conj))
+        orbit = _orbit([_conjugator(g.images) for g in G.generators], x.images)
+        sub_orbit = set(_orbit([_conjugator(g.images) for g in sub.generators], x.images))
         inside = {t for t in orbit if sub.chain.contains(t)}
         if inside != sub_orbit:
             stray = sorted(inside - sub_orbit)[:3]

@@ -47,12 +47,21 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """g^-1 * x * g."""
-    out = [0] * len(x)
-    for b in range(len(x)):
-        out[g[b]] = g[x[b]]
-    return tuple(out)
+def _conjugator(g: tuple[int, ...]):
+    """The map x -> g^-1 * x * g, built once per g: x g is
+    ``itemgetter(*x)(g)``, and g^-1 (x g) is one call of a prebuilt
+    ``itemgetter`` of g^-1, so a conjugate costs two C calls.  The only
+    permutation of degree 1 is the identity, which is its own conjugate."""
+    if len(g) == 1:
+        return lambda x: x
+    ginv = itemgetter(*_inv(g))
+    return lambda x: ginv(itemgetter(*x)(g))
+
+
+def _set_conjugator(g: tuple[int, ...]):
+    """The map of element sets K -> K^g, built once per g."""
+    conj = _conjugator(g)
+    return lambda key: frozenset(map(conj, key))
 
 
 @cache
@@ -133,7 +142,7 @@ class Perm:
 
     def conj(self, g: "Perm") -> "Perm":
         """self ** g = g^-1 * self * g."""
-        return Perm(_conj(self.images, g.images))
+        return Perm(_conjugator(g.images)(self.images))
 
     def is_identity(self) -> bool:
         return _is_identity(self.images)
@@ -499,32 +508,44 @@ def extended_group(base: PermGroup, extra, stop_at: int | None = None) -> PermGr
     return PermGroup._from_chain(ch, base.generators + tuple(added))
 
 
-def group_generated_by(perms, degree: int) -> PermGroup:
-    """Group generated by an iterable of Perms, keeping only the ones that
-    enlarge the group as its generator list."""
+def group_generated_by(perms, degree: int, order: int) -> PermGroup:
+    """The group of known order ``order`` generated by an iterable of
+    Perms, with the ones that enlarge it as its generator list.  The walk
+    ends once the chain reaches ``order`` (see ``_Chain.insert``), where no
+    later Perm would enlarge it."""
     ch = _Chain(degree)
-    return PermGroup._from_chain(ch, [g for g in perms if ch.insert(g.images)])
+    gens = []
+    for g in perms:
+        if ch.insert(g.images, order):
+            gens.append(g)
+            if ch.order() == order:
+                break
+    return PermGroup._from_chain(ch, gens)
 
 
 # ----------------------------------------------------------------------
-# Orbits.  ``act(point, g)`` is the image of a point under the generator
-# tuple g; points are anything hashable (elements, element sets).
+# Orbits.  A group acts through one map per generator, built once: a
+# one-argument function from a point to its image.  Points are anything
+# hashable (points, elements, element sets); ``g.__getitem__`` acts on
+# points, ``_conjugator(g)`` on elements and ``_set_conjugator(g)`` on
+# element sets.
 
-def _orbit(gens, start, act) -> list:
-    """The orbit of ``start`` under ``gens``, in breadth-first order."""
+def _orbit(maps, start) -> list:
+    """The orbit of ``start`` under ``maps``, in breadth-first order."""
     orbit = [start]
     seen = {start}
     for pt in orbit:
-        for g in gens:
-            q = act(pt, g)
+        for f in maps:
+            q = f(pt)
             if q not in seen:
                 seen.add(q)
                 orbit.append(q)
     return orbit
 
 
-def _orbit_stabilizer(G: PermGroup, start, act, stab_gens=()) -> tuple[dict, PermGroup]:
-    """Breadth-first orbit of ``start`` under G with its stabilizer.
+def _orbit_stabilizer(G: PermGroup, start, action, stab_gens=()) -> tuple[dict, PermGroup]:
+    """Breadth-first orbit of ``start`` under G with its stabilizer;
+    ``action(g)`` returns the map of the generator tuple g.
 
     Returns the transversal (orbit point -> image tuple of an element of G
     taking ``start`` there, in discovery order) and the stabilizer.  Its
@@ -532,14 +553,15 @@ def _orbit_stabilizer(G: PermGroup, start, act, stab_gens=()) -> tuple[dict, Per
     the order found; its generators are those among them that enlarged it.
     """
     gens = [g.images for g in G.generators]
+    maps = [action(g) for g in gens]
     transversal = {start: _identity(G.degree)}
     queue = [start]
     ch = _Chain(G.degree)
     stab = [g for g in stab_gens if ch.insert(g.images)]
     for pt in queue:
         u = transversal[pt]
-        for g in gens:
-            q = act(pt, g)
+        for g, f in zip(gens, maps):
+            q = f(pt)
             ug = _mul(u, g)
             v = transversal.get(q)
             if v is None:
@@ -553,10 +575,6 @@ def _orbit_stabilizer(G: PermGroup, start, act, stab_gens=()) -> tuple[dict, Per
     if len(transversal) * S.order != G.order:
         raise EngineDefect("orbit-stabilizer identity failed")
     return transversal, S
-
-
-def _conj_set(key: frozenset, g: tuple[int, ...]) -> frozenset:
-    return frozenset(_conj(t, g) for t in key)
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +731,7 @@ def _partition_classes(n: int, alternating: bool) -> tuple[list[tuple], _TypeCla
             z *= part**mult * factorial(mult)
         reps = [_least_of_type(lam)]
         if alternating and len(set(lam)) == len(lam) and all(p % 2 for p in lam):
-            reps.append(_conj(reps[0], swap))
+            reps.append(_conjugator(swap)(reps[0]))
         key = tuple(p for p in lam if p > 1)
         raw += [(lcm(*lam), factorial(n) // z // len(reps), rep, key) for rep in reps]
     raw.sort()
@@ -730,7 +748,7 @@ def _partition_classes(n: int, alternating: bool) -> tuple[list[tuple], _TypeCla
 def _walk_classes(G: PermGroup) -> tuple[list[tuple], _ClassMap]:
     """The classes of G from its elements, for every group that is not
     Sym(n) or Alt(n) on its points (see ``conjugacy_classes``)."""
-    gens = [g.images for g in G.generators]
+    maps = [_conjugator(g.images) for g in G.generators]
     order = G.order
     first: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     met: dict[tuple[int, ...], int] = {}
@@ -739,7 +757,7 @@ def _walk_classes(G: PermGroup) -> tuple[list[tuple], _ClassMap]:
         key = _cycle_type(t)
         met[key] = met.get(key, 0) + 1
         if key not in first:
-            orbit = _orbit(gens, t, _conj)
+            orbit = _orbit(maps, t)
             first[key] = (min(orbit), len(orbit))
             total += len(orbit)
             if total == order:
@@ -753,7 +771,7 @@ def _walk_classes(G: PermGroup) -> tuple[list[tuple], _ClassMap]:
         for t in G.chain.iter_elements():
             if t in split or _cycle_type(t) not in split_types:
                 continue
-            orbit = _orbit(gens, t, _conj)
+            orbit = _orbit(maps, t)
             rep = min(orbit)
             split.update(dict.fromkeys(orbit, rep))  # replaced by the index below
             raw.append((lcm(*_cycle_type(rep)), len(orbit), rep, None))
@@ -811,7 +829,7 @@ def centralizer(G: PermGroup, x: Perm) -> PermGroup:
     """C_G(x) via the conjugation orbit of x with Schreier generators."""
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
-    return _orbit_stabilizer(G, x.images, _conj)[1]
+    return _orbit_stabilizer(G, x.images, _conjugator)[1]
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -821,7 +839,7 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
         raise InvalidArgument("H is not a subgroup of G")
     if H.is_trivial() or H.same_group(G):
         return G
-    return _orbit_stabilizer(G, H.element_fingerprint(), _conj_set, H.generators)[1]
+    return _orbit_stabilizer(G, H.element_fingerprint(), _set_conjugator, H.generators)[1]
 
 
 def normal_closure_chain(
@@ -836,12 +854,13 @@ def normal_closure_chain(
     only for its order, a lower bound of the closure's."""
     ch = _Chain(degree)
     gens: list[tuple[int, ...]] = []
+    conjugators = [_conjugator(g) for g in gen_tuples]
 
     def candidates():
         yield from seed_tuples
         for s in gens:  # gens grows while it is read: it is also the queue
-            for g in gen_tuples:
-                yield _conj(s, g)
+            for conj in conjugators:
+                yield conj(s)
 
     for t in candidates():
         if ch.insert(t, stop_at):
@@ -951,7 +970,7 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
         data = SylowData(p, Q, (Perm.identity(G.degree),), N)
     else:
         start = Q.element_fingerprint()
-        transversal, N = _orbit_stabilizer(G, start, _conj_set, Q.generators)
+        transversal, N = _orbit_stabilizer(G, start, _set_conjugator, Q.generators)
         data = SylowData(p, Q, tuple(Perm(t) for t in transversal.values()), N)
     if data.count % p != 1:
         raise EngineDefect("Sylow count is not 1 mod p")
@@ -977,7 +996,7 @@ def _sylow_containment(G: PermGroup, p: int, x: Perm) -> tuple[int, tuple[PermGr
             raise InvalidArgument("element does not belong to the group")
         P, N = data.subgroup, data.normalizer
         # x in P^g  iff  x^(g^-1) in P
-        found = [g for g in data.transversal if P.chain.contains(_conj(x.images, _inv(g.images)))]
+        found = [g for g in data.transversal if P.chain.contains(_conjugator(_inv(g.images))(x.images))]
         if not found:  # pragma: no cover - Sylow covering guarantees a hit
             raise EngineDefect("p-element lies in no Sylow p-subgroup")
         g = found[0]
@@ -1018,10 +1037,10 @@ def is_ti_sylow(G: PermGroup, p: int) -> bool:
     containment_counts = dict.fromkeys((t for t in P.chain.iter_elements() if t != ident), 0)
     ti = True
     for g in data.transversal:
-        ginv = _inv(g.images)
+        conj = _conjugator(_inv(g.images))
         inter = 0
         for t in containment_counts:
-            if P.chain.contains(_conj(t, ginv)):
+            if P.chain.contains(conj(t)):
                 inter += 1
                 containment_counts[t] += 1
         if not g.is_identity() and inter != 0:

@@ -44,10 +44,21 @@ The scan walks only the right cosets N u of N = N_G(<x>) that can hold
 members.  If <x> is subnormal in <x, g>, so is <x_q>, since subnormality
 passes to intermediate subgroups; then x_q lies in the normal subgroup
 O_q(<x, g>), which also holds x_q^g, so <x_q, x_q^g> is a q-group in which
-<x_q> is subnormal.  For n in N, x_q^n generates <x_q>, so
-<x_q, x_q^(n u)> = <x_q, x_q^u>: one test per prime decides the condition
-for the whole coset.  N and the transversal come from one orbit of <x>
-under conjugation.  The identity has no primes and keeps its one coset, G.
+<x_q> is subnormal.  For n, n' in N, x_q^n generates <x_q>, so
+<x_q, x_q^(n u n')> = <x_q, x_q^(u n')> = <x_q, x_q^u>^n', and conjugation
+by n' fixes <x_q>: the condition is constant on each double coset N u N,
+and one test per prime decides it.  N and the transversal come from one
+orbit of <x> under conjugation, <x> keyed by its generators x^k with k
+prime to o(x).  N permutes the conjugates <x>^u by conjugation as it
+permutes the cosets N u by right multiplication, so the double cosets are
+the N-orbits on the transversal.  The identity has no primes and keeps its
+one coset, G.
+
+Sub_G(x) = <S_G(<x>)> is generated by N and one accepted member per orbit
+of the scan: N lies in the set, as it normalizes <x>, and the maps carry
+each member within <N, the tested member of its orbit>.  So the scan knows
+the order of Sub_G(x), and the walk over the sorted members that builds it
+ends as soon as its chain reaches that order.
 """
 
 from __future__ import annotations
@@ -63,14 +74,14 @@ from .exactnum import p_part, prime_factors, prime_of_power
 from .permgroup import (
     Perm,
     PermGroup,
-    _conj,
-    _conj_set,
+    _conjugator,
     _inv,
     _is_identity,
     _mul,
     _orbit,
     _orbit_stabilizer,
     _p_power_part,
+    _set_conjugator,
     check_order_bound,
     conjugacy_classes,
     extended_group,
@@ -106,13 +117,14 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
     in ascending order (see the module docstring)."""
     xt = x.images
     gt = g.images
-    xg = _conj(xt, gt)
+    conj = _conjugator(gt)
+    xg = conj(xt)
     # Centralizing or <x>-normalizing elements qualify immediately.
     if xg in x_tuples:
         return True
     for q in prime_factors(x_order):
         xq = _p_power_part(x, q, x_order).images  # x itself for a q-element x
-        xqg = xg if xq is xt else _conj(xq, gt)
+        xqg = xg if xq is xt else conj(xq)
         if not is_p_element(Perm(_mul(_inv(xq), xqg)), q):
             return False  # [x_q, g] lies in the normal closure of <x_q>
         if not _is_subnormal_tuples([xq], q, [xt, gt], len(xt), group_order):
@@ -125,51 +137,56 @@ def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:
 
     Only the right cosets N u of N = N_G(<x>) with <x_q> subnormal in
     <x_q, x_q^u> for every prime q of o(x) are scanned: every member's
-    coset passes, and the test is constant on each coset (see the module
-    docstring).  On those cosets the verdict is constant on each orbit
-    under t -> x t, t -> t x, t -> t^-1 and conjugation by N:
+    coset passes, and the test is constant on each double coset N u N (see
+    the module docstring).  On those cosets the verdict is constant on each
+    orbit under t -> x t, t -> t x, t -> t^-1 and conjugation by N:
     <x, x^a t x^b> = <x, t^-1> = <x, t>, and <x, t^n> = <x, t>^n with
-    <x>^n = <x>.  So one test per coset and prime, tried in ascending order
-    up to the first that fails, and one per orbit meeting the kept cosets
-    suffice; every element is still reported.  The set is computed once per
-    (G, x) and cached on G; each call returns a new list.
+    <x>^n = <x>.  So one test per double coset and prime, tried in
+    ascending order up to the first that fails, and one per orbit meeting
+    the kept cosets suffice; every element is still reported.  The set is
+    computed once per (G, x) and cached on G, with the order of the group
+    it generates; each call returns a new list.
     """
     check_order_bound(G, SUBNORMALIZER_BOUND, "subnormalizer")
     if x not in G:
         raise InvalidArgument("element does not belong to the group")
     key = ("subnormalizer_set", x.images)
     if key not in G._cache:
-        G._cache[key] = tuple(_scan_subnormalizer(G, x))
-    return list(G._cache[key])
+        G._cache[key] = _scan_subnormalizer(G, x)
+    return list(G._cache[key][0])
 
 
-def _scan_subnormalizer(G: PermGroup, x: Perm) -> list[Perm]:
+def _scan_subnormalizer(G: PermGroup, x: Perm) -> tuple[tuple[Perm, ...], int]:
+    """The sorted members and the order of the group they generate."""
     xt = x.images
     x_order = x.order()
     powers = frozenset((x**k).images for k in range(x_order))
-    # One orbit of <x> under conjugation: N = N_G(<x>) and a right transversal.
-    transversal, N = _orbit_stabilizer(G, powers, _conj_set, [x])
+    # One orbit of <x>, keyed by its generators, under conjugation:
+    # N = N_G(<x>) and a right transversal.
+    transversal, N = _orbit_stabilizer(G, frozenset(_cyclic_generators(xt)), _set_conjugator, [x])
     parts = []  # (x_q, the powers of x_q) for each prime q of o(x), ascending
     for q in prime_factors(x_order):
         xq = _p_power_part(x, q, x_order)
         parts.append((xq, frozenset((xq**k).images for k in range(xq.order()))))
-    # The cosets N u with <x_q> subnormal in <x_q, x_q^u> for every q.
-    kept = [
-        u
-        for u in transversal.values()
-        if all(
-            _subnormal_in_generated(
-                xq, q_powers, len(q_powers), Perm(_conj(xq.images, u)), G.order
+    # The cosets N u with <x_q> subnormal in <x_q, x_q^u> for every q, one
+    # test per N-orbit of the conjugates <x>^u (one per double coset N u N).
+    on_conjugates = [_set_conjugator(n.images) for n in N.generators]
+    passed: dict[frozenset, bool] = {}
+    for conjugate, u in transversal.items():
+        if conjugate not in passed:
+            conj = _conjugator(u)
+            verdict = all(
+                _subnormal_in_generated(xq, q_powers, len(q_powers), Perm(conj(xq.images)), G.order)
+                for xq, q_powers in parts
             )
-            for xq, q_powers in parts
-        )
-    ]
+            passed.update(dict.fromkeys(_orbit(on_conjugates, conjugate), verdict))
+    kept = [u for conjugate, u in transversal.items() if passed[conjugate]]
     # Powers of x are left out: left and right multiplication already
-    # cover conjugation by them.
-    maps = [lambda t: _mul(xt, t), _inv] + [
-        lambda t, n=n.images: _conj(t, n) for n in N.generators if n.images not in powers
-    ]
+    # cover conjugation by them.  x t is itemgetter(*x)(t) at degree > 1.
+    maps = [_inv] + [_conjugator(n.images) for n in N.generators if n.images not in powers]
+    maps += [itemgetter(*xt)] if len(xt) > 1 else []
     members: list[tuple[int, ...]] = []
+    sub_chain = N.chain.copy()  # grown to <N, one accepted member per orbit>
     decided: dict[tuple, bool] = {}
     for n in N.chain.iter_elements():  # n u runs over the kept cosets
         for u in kept:
@@ -177,26 +194,26 @@ def _scan_subnormalizer(G: PermGroup, x: Perm) -> list[Perm]:
             verdict = decided.get(gt)
             if verdict is None:
                 verdict = _subnormal_in_generated(x, powers, x_order, Perm(gt), G.order)
-                decided.update(dict.fromkeys(_orbit(maps, gt, _apply), verdict))
+                decided.update(dict.fromkeys(_orbit(maps, gt), verdict))
+                if verdict:
+                    sub_chain.insert(gt, G.order)
             if verdict:
                 members.append(gt)
     members.sort()
-    return [Perm(t) for t in members]
-
-
-def _apply(t, f):
-    return f(t)
+    return tuple(Perm(t) for t in members), sub_chain.order()
 
 
 def subnormalizer_subgroup(G: PermGroup, x: Perm) -> PermGroup:
-    """Sub_G(x) = <S_G(<x>)>.  For p-elements the containment
-    N_G(P) <= Sub_G(x) is asserted."""
+    """Sub_G(x) = <S_G(<x>)>, built to the order the scan found (see the
+    module docstring).  For p-elements the containment N_G(P) <= Sub_G(x)
+    is asserted."""
     key = ("subnormalizer", x.images)
     if key in G._cache:
         return G._cache[key]
-    sub = group_generated_by(subnormalizer_set(G, x), G.degree)
+    members = subnormalizer_set(G, x)
     # The members are fresh tuples, held by G only until Sub_G(x) is built.
-    G._cache.pop(("subnormalizer_set", x.images), None)
+    _, order = G._cache.pop(("subnormalizer_set", x.images))
+    sub = group_generated_by(members, G.degree, order)
     p = prime_of_power(x.order())
     if p is not None:
         _, N = sylow_containing(G, p, x)
@@ -286,7 +303,7 @@ def covering_analysis(G: PermGroup, p: int) -> CoveringAnalysis:
     P = data.subgroup
     check_order_bound(P, ENUM_BOUND, "enumeration")
     p_elements = list(P.chain.iter_elements())
-    sylow_sets = [frozenset(_conj(t, g.images) for t in p_elements) for g in data.transversal]
+    sylow_sets = [frozenset(map(_conjugator(g.images), p_elements)) for g in data.transversal]
     # Q is needed iff some element of Q lies in no other Sylow subgroup.
     containing = Counter(t for Q in sylow_sets for t in Q)
     all_needed = all(any(containing[t] == 1 for t in Q) for Q in sylow_sets)
@@ -330,30 +347,29 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
     are told apart by order and orbits on the points (``_subgroup_key``),
     then by containment (``find_same_subgroup``) among the subgroups with
     the same key; only the subgroup whose cosets are being scanned is
-    enumerated.
+    enumerated.  G's elements are walked and sorted once per group and
+    cached on G, after the bound checks, for the calls at other N.
     """
     check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
     check_order_bound(G, ENUM_BOUND, "enumeration")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
+    if "sorted_elements" not in G._cache:
+        G._cache["sorted_elements"] = sorted(G.chain.iter_elements())
     memo: dict[tuple, list[tuple[PermGroup, int]]] = {}  # key -> (K, longest(K))
-    return _longest(N, _subgroup_key(N), G.order, sorted(G.chain.iter_elements()), memo)
+    return _longest(N, _subgroup_key(N), G.order, G._cache["sorted_elements"], memo)
 
 
 def _subgroup_key(K: PermGroup) -> tuple:
     """K's order and its orbits on the points, each point labelled by the
     least point of its orbit.  Equal subgroups have equal keys."""
-    gens = [s.images for s in K.generators]
+    maps = [s.images.__getitem__ for s in K.generators]
     label = [-1] * K.degree
     for i in range(K.degree):
         if label[i] < 0:
-            for b in _orbit(gens, i, _image):
+            for b in _orbit(maps, i):
                 label[b] = i
     return K.order, tuple(label)
-
-
-def _image(point: int, g: tuple[int, ...]) -> int:
-    return g[point]
 
 
 def _longest(H: PermGroup, key: tuple, group_order: int, g_elements, memo) -> int:

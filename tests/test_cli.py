@@ -91,6 +91,43 @@ class TestStructureCommands:
         assert data["subgroup_generators"] == ["(2,4)", "(1,2)(3,4)"]
         assert data["picky_report"]["is_picky"] is True
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["subnormalizer", "S:4", "-x", "(1,2,3,4)"],
+                '{"element":"(1,2,3,4)","element_order":4,"format":1,"picky_report":'
+                '{"element":"(1,2,3,4)","is_picky":true,"normalizer_order":8,"prime":2,'
+                '"subnormalizer_order":8,"sylow_count":1},"set_size":8,'
+                '"subgroup_generators":["(2,4)","(1,2)(3,4)"],"subgroup_order":8}',
+            ),
+            (
+                ["subnormalizer", "S:6", "-x", "(1,2)(3,4,5)"],
+                '{"element":"(1,2)(3,4,5)","element_order":6,"format":1,"set_size":12,'
+                '"subgroup_generators":["(4,5)","(3,4)","(1,2)"],"subgroup_order":12}',
+            ),
+            (
+                ["sylow", "A:7", "-p", "2"],
+                '{"count":315,"format":1,"generators":["(1,4)(2,3)","(1,2)(3,4)","(3,4)(5,6)"],'
+                '"normalizer_order":8,"order":8,"prime":2}',
+            ),
+            (
+                ["picky", "A:7", "-p", "2"],
+                '{"classes":[{"element":"(4,5)(6,7)","is_picky":false,"normalizer_order":8,'
+                '"prime":2,"subnormalizer_order":2520,"sylow_count":15},'
+                '{"element":"(2,3)(4,5,6,7)","is_picky":true,"normalizer_order":8,"prime":2,'
+                '"subnormalizer_order":8,"sylow_count":1}],"format":1,"prime":2}',
+            ),
+        ],
+    )
+    def test_local_structure_output_is_pinned(self, capsys, argv, want):
+        # Byte for byte: the Sylow subgroup printed depends on the chain's
+        # element order, and the subnormalizer's generators on the order in
+        # which the sorted members enlarge its chain.
+        code, out, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == want + "\n"
+
     def test_subnormalizer_scans_once(self, capsys, monkeypatch):
         scans = []
         scan = subnorm._scan_subnormalizer

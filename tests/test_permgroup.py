@@ -75,6 +75,15 @@ def definition_mul(p, q):
     return tuple(q[i] for i in p)
 
 
+def definition_conj(x, g):
+    """g^-1 * x * g point by point: g carries b to g[b], and the conjugate
+    carries g[b] to g[x[b]].  The oracle for the kernel's _conjugator."""
+    out = [0] * len(x)
+    for b in range(len(x)):
+        out[g[b]] = g[x[b]]
+    return tuple(out)
+
+
 def definition_is_identity(p):
     return all(i == j for i, j in enumerate(p))
 
@@ -93,6 +102,29 @@ class TestKernel:
         assert type(_mul(p, q)) is tuple
         for t in (p, q, _mul(p, _inv(p)), tuple(range(len(p)))):
             assert _is_identity(t) == definition_is_identity(t)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)), st.lists(st.permutations(range(n)), max_size=4)
+            )
+        )
+    )
+    @example(([0], [[0]]))
+    @example(([1, 0], [[0, 1], [1, 0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_conjugators_match_the_definition(self, drawn):
+        # Degree 1 is the case where itemgetter with one index would
+        # return a scalar; degree 2 is the smallest with two indices.
+        g, xs = tuple(drawn[0]), [tuple(x) for x in drawn[1]]
+        conj = permgroup._conjugator(g)
+        for x in xs:
+            assert conj(x) == definition_conj(x, g)
+            assert type(conj(x)) is tuple
+            assert Perm(x).conj(Perm(g)).images == definition_conj(x, g)
+        assert permgroup._set_conjugator(g)(frozenset(xs)) == frozenset(
+            definition_conj(x, g) for x in xs
+        )
 
     def test_known_order_exit_agrees_with_full_build(self, monkeypatch):
         # <N_G(P), g> built with stop_at = |G| against the same build

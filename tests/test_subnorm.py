@@ -173,21 +173,21 @@ def is_q_group_generated(seed, degree, q):
 def brute_kept_cosets(G, x, norm):
     """The right cosets N g of N = ``norm`` that the scan keeps, as one set
     of image tuples, with the number of coset-filter tests it makes: per
-    coset, the primes q of o(x) in ascending order, up to and including
-    the first for which <x_q, x_q^g> is not a q-group."""
+    double coset N g N, the primes q of o(x) in ascending order, up to and
+    including the first for which <x_q, x_q^g> is not a q-group."""
     kept, seen, tests = set(), set(), 0
     for g in G.elements():
         if g.images in seen:
             continue
-        coset = {(n * g).images for n in norm}
-        seen |= coset
+        double_coset = {(n * g * m).images for n in norm for m in norm}
+        seen |= double_coset
         for q in prime_factors(x.order()):
             tests += 1
             xq = sylow_part(x, q)
             if not is_q_group_generated({xq.images, xq.conj(g).images}, G.degree, q):
                 break
         else:
-            kept |= coset
+            kept |= double_coset
     return kept, tests
 
 
@@ -212,6 +212,18 @@ def brute_orbit_count(G, x, norm, kept):
                     seen.add(u)
                     stack.append(u)
     return count
+
+
+def reference_generated_by(perms, degree):
+    """The group generated by the Perms, each inserted in turn with no
+    known order: the reference build of Sub_G(x), whose generators are the
+    Perms that enlarged the chain."""
+    ch = _Chain(degree)
+    return PermGroup._from_chain(ch, [g for g in perms if ch.insert(g.images)])
+
+
+def chain_levels(G):
+    return [(lvl.base, lvl.gens, lvl.orbit) for lvl in G.chain.levels]
 
 
 def in_o_p(H, p, x):
@@ -411,9 +423,10 @@ class TestOrbitScanOracle:
         assert got == [g.images for g in double_coset_subnormalizer_set(G, x)]
 
     def test_one_subnormality_test_per_orbit(self, monkeypatch):
-        """Exactly one test per (coset of N_G(<x>), prime of o(x)) pair the
-        filter reaches, plus one per orbit that meets the kept cosets; both
-        counts come from element sets, not from the engine."""
+        """Exactly one test per (double coset N u N of N = N_G(<x>), prime
+        of o(x)) pair the filter reaches, plus one per orbit that meets the
+        kept cosets; both counts come from element sets, not from the
+        engine."""
         calls = []
 
         def counting(*args):
@@ -436,6 +449,34 @@ class TestOrbitScanOracle:
                 assert len(calls) == want, (entry.label, x.cycle_string())
                 prime_counts.add(len(prime_factors(x.order())))
         assert prime_counts == {0, 1, 2}
+
+    def test_subnormality_test_totals(self, monkeypatch):
+        # A tripwire on the scan's work: the tests made by the scans of
+        # every nonidentity p-element class representative, as
+        # `pickylab picky` makes them, per prime.  With one filter test per
+        # coset N u, not per double coset N u N, and <x> keyed by all its
+        # powers, S7 made 719, 197, 132 and 124, A7 442, 186, 129 and 244,
+        # and S4 wr C2 623 and 62.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _subnormal_in_generated(*args)
+
+        monkeypatch.setattr(subnorm, "_subnormal_in_generated", counting)
+        totals = {}
+        for source in ("S:7", "A:7", "wr:S:4~C:2"):
+            G = named_group(source)
+            for p in prime_factors(G.order):
+                calls.clear()
+                for x in p_element_class_representatives(G, p):
+                    subnormalizer_set(G, x)
+                totals[source, p] = len(calls)
+        assert totals == {
+            ("S:7", 2): 131, ("S:7", 3): 36, ("S:7", 5): 13, ("S:7", 7): 11,
+            ("A:7", 2): 80, ("A:7", 3): 31, ("A:7", 5): 12, ("A:7", 7): 24,
+            ("wr:S:4~C:2", 2): 361, ("wr:S:4~C:2", 3): 31,
+        }
 
     @pytest.mark.parametrize("cycles", ["(1,2)(3,4,5)", "(1,2,3,4,5,6)", "(1,2)(3,4)(5,6)"])
     def test_elements_that_are_not_class_representatives(self, cycles):
@@ -542,6 +583,29 @@ class TestWielandtCriterion:
                     assert verdict == in_o_p(H, p, x), (x.cycle_string(), g.cycle_string())
                     verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestSubnormalizerSubgroup:
+    def test_known_order_build_against_the_full_walk(self):
+        # Every class representative of every full-catalog group, S7, A7
+        # and S4 wr C2 among them.  The order the scan finds is that of
+        # the group its members generate, and the build that stops there
+        # keeps the generators and the chain of the walk over every member.
+        groups = {entry.label: entry.build() for entry in load_catalog("full")}
+        assert {"S7", "A7", "S4wrC2"} <= set(groups)
+        stopped_early = 0
+        for label, G in groups.items():
+            for c in conjugacy_classes(G):
+                x = c.representative
+                members = subnormalizer_set(G, x)
+                _, order = G._cache[("subnormalizer_set", x.images)]
+                want = reference_generated_by(members, G.degree)
+                got = subnormalizer_subgroup(G, x)
+                assert order == want.order, (label, x.cycle_string())
+                assert got.generators == want.generators, (label, x.cycle_string())
+                assert chain_levels(got) == chain_levels(want), (label, x.cycle_string())
+                stopped_early += members.index(got.generators[-1]) < len(members) - 1
+        assert stopped_early > 0
 
 
 class TestPicky:
@@ -826,6 +890,37 @@ class TestChainLength:
         with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
             chain_length(G, named_group("S:8"))
         assert G._chain is None
+
+    def test_refusal_leaves_no_sorted_walk(self):
+        # The bound is checked before G is walked, even when G's chain is
+        # already built: a refused G keeps no list of its elements.
+        G = named_group("S:8")
+        assert G.order == 40320
+        with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
+            chain_length(G, sylow_data(G, 7).normalizer)
+        assert "sorted_elements" not in G._cache
+
+    def test_sorted_walk_once_per_group(self, monkeypatch):
+        # The first call walks and sorts S7 once; the next, from another
+        # N, scans the cached list without walking G again and still makes
+        # the 52 builds pinned above.
+        G = named_group("S:7")
+        normalizers = {p: sylow_data(G, p).normalizer for p in (3, 2)}
+        walks = []
+        walk = _Chain.iter_elements
+
+        def counting(chain):
+            walks.append(chain is G.chain)
+            return walk(chain)
+
+        monkeypatch.setattr(_Chain, "iter_elements", counting)
+        chain_length(G, normalizers[3])
+        assert walks.count(True) == 1
+        walks.clear()
+        builds = self.counted_builds(monkeypatch)
+        assert chain_length(G, normalizers[2]) == 3
+        assert walks and True not in walks
+        assert len(builds) == 52
 
     def test_scale_bound_before_the_chain(self):
         # S150 is refused from a chain stopped past the bound; its full
