@@ -12,7 +12,8 @@ for subnormalizer sweeps).
 # time, plus the members of cycle types that split into several classes;
 # Sym(n) and Alt(n) walk none, their classes come from the partitions of
 # n.  Held whole, for one call: a subgroup's element set (normalizers,
-# Sylow orbits, TI and covering scans) and chain_length's sorted scan of G.
+# Sylow orbits, TI and covering scans) and chain_length's marked double
+# cosets of N, which grow to all of G as its one walk of G goes on.
 ENUM_BOUND = 100_000
 # Largest |G| for which a generic character table is computed; bigger
 # symmetric/wreath groups should go through the fast symmetric-group

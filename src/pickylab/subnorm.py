@@ -331,33 +331,42 @@ def chain_length(G: PermGroup, N: PermGroup) -> int:
     overgroups, and visits the same subgroups: every subgroup between N and
     G is reached by minimal steps, and every <H, g> lies between N and G.
 
-    One g is built per double coset H g H, and with it every H g^k H for k
-    prime to the order of g is marked as scanned: for h, h' in H,
-    <H, h g^k h'> = <H, g^k> since h and h' lie in H, and <H, g^k> = <H, g>
-    since g^k and g are powers of each other.  A double coset H a H is the
-    union of the right cosets H a h, h in H, and every h is a product of
-    H's generators, so the walk from H a by right multiplication with the
-    generators reaches all of them.  Each right coset H b is filled by
-    calling one prebuilt ``itemgetter(*h)`` per h in H on b, since
+    G is walked once, at N, and streamed from its chain: every g outside N
+    is a candidate, and the distinct <N, g> are N's families, each kept
+    with the g that built it.  Below N the families give the joins: for
+    H <= K and g outside K, F = <H, g> is a family of H with its element
+    g_F, and <K, g> = <K, H, g> = <K, F> = <K, g_F>, where g_F lies outside
+    K since g lies in F.  So a K reached from H has as overgroups the
+    distinct <K, g_F> with g_F outside K, one candidate per family of H.
+
+    Among the candidates of K, one g is built per double coset K g K, and
+    with it every K g^k K for k prime to the order of g is marked: for
+    h, h' in K, <K, h g^k h'> = <K, g^k> = <K, g>, since g^k and g are
+    powers of each other.  K's double cosets are marked at N, where every
+    element of G is a candidate, and below it only when |K|^2 < |G|: a
+    double coset holds at most |K|^2 elements, so marking stays cheap beside
+    the builds it saves.  Otherwise each candidate inside K is skipped by a
+    sift and every other one is built.  A double coset K a K is the union of
+    the right cosets K a h, h in K, and every h is a product of K's
+    generators, so the walk from K a by right multiplication with the
+    generators reaches all of them.  Each right coset K b is filled by
+    calling one prebuilt ``itemgetter(*h)`` per h in K on b, since
     ``itemgetter(*h)(b)`` is h b: every product is one C call, with no
     per-point Python loop.
 
-    Most <H, g> are G itself, so each is built with ``stop_at = |G|`` (see
+    Most <K, g> are G itself, so each is built with ``stop_at = |G|`` (see
     ``_Chain.insert``) and ends as soon as it reaches that order.  Subgroups
     are told apart by order and orbits on the points (``_subgroup_key``),
     then by containment (``find_same_subgroup``) among the subgroups with
-    the same key; only the subgroup whose cosets are being scanned is
-    enumerated.  G's elements are walked and sorted once per group and
-    cached on G, after the bound checks, for the calls at other N.
+    the same key; only subgroups whose double cosets are marked are
+    enumerated.  Nothing is kept on G.
     """
     check_order_bound(G, CHAIN_LENGTH_BOUND, "chain-length")
     check_order_bound(G, ENUM_BOUND, "enumeration")
     if not N.is_subgroup_of(G):
         raise InvalidArgument("N is not a subgroup of G")
-    if "sorted_elements" not in G._cache:
-        G._cache["sorted_elements"] = sorted(G.chain.iter_elements())
     memo: dict[tuple, list[tuple[PermGroup, int]]] = {}  # key -> (K, longest(K))
-    return _longest(N, _subgroup_key(N), G.order, G._cache["sorted_elements"], memo)
+    return _longest(N, _subgroup_key(N), G.order, G.chain.iter_elements(), True, memo)
 
 
 def _subgroup_key(K: PermGroup) -> tuple:
@@ -372,44 +381,65 @@ def _subgroup_key(K: PermGroup) -> tuple:
     return K.order, tuple(label)
 
 
-def _longest(H: PermGroup, key: tuple, group_order: int, g_elements, memo) -> int:
-    """longest(H) in the group of order ``group_order`` whose sorted image
-    tuples are ``g_elements``; ``key`` is H's ``_subgroup_key``, and
-    ``memo`` is shared by one ``chain_length`` call."""
+def _longest(H: PermGroup, key: tuple, group_order: int, candidates, mark: bool, memo) -> int:
+    """longest(H) in the group of order ``group_order``; ``key`` is H's
+    ``_subgroup_key``, ``candidates`` one element of each overgroup family
+    of the subgroup H was reached from (every element of G at the root),
+    ``mark`` whether H's double cosets are marked, and ``memo`` is shared
+    by one ``chain_length`` call."""
     if H.order == group_order:
         return 0
     same_key = memo.setdefault(key, [])
     entry = find_same_subgroup(H, same_key, itemgetter(0))
     if entry is None:
-        found = _overgroups(H, group_order, g_elements)
+        found = _overgroups(H, candidates, group_order, mark)
         if not found:
             raise EngineDefect("no overgroup found for a proper subgroup")
-        entry = (H, 1 + max(_longest(K, k, group_order, g_elements, memo) for k, K in found))
+        joins = [g for g, _, _ in found]
+        entry = (H, 1 + max(
+            _longest(K, k, group_order, joins, K.order ** 2 < group_order, memo)
+            for _, k, K in found
+        ))
         same_key.append(entry)
     return entry[1]
 
 
-def _overgroups(H: PermGroup, group_order: int, g_elements) -> list[tuple[tuple, PermGroup]]:
-    """(key, <H, g>) for one g per double coset H g H and its coprime
-    powers, each subgroup once; the cosets are freed before the recursion
-    goes deeper."""
+def _overgroups(H: PermGroup, candidates, group_order: int, mark: bool) -> list[tuple]:
+    """(g, key, <H, g>) for each distinct <H, g> with g among
+    ``candidates`` and outside H, with the first such g.  With ``mark`` one
+    g is built per double coset H g H and its coprime powers, and the
+    cosets are freed before the recursion goes deeper; without, each
+    candidate inside H is skipped by a sift."""
+    if mark:
+        candidates = _unmarked(H, candidates)
+    else:
+        inside = H.chain.contains
+        candidates = [g for g in candidates if not inside(g)]
+    by_key: dict[tuple, list[tuple]] = {}
+    for g in candidates:
+        K = extended_group(H, [g], group_order)
+        same_key = by_key.setdefault(_subgroup_key(K), [])
+        if find_same_subgroup(K, same_key, itemgetter(1)) is None:
+            same_key.append((g, K))
+    return [(g, key, K) for key, same_key in by_key.items() for g, K in same_key]
+
+
+def _unmarked(H: PermGroup, candidates):
+    """Each candidate outside H and outside the double cosets H g^k H
+    already marked, each marked (with its coprime powers) as it is
+    yielded."""
     h_elements = list(H.chain.iter_elements())
     seen = set(h_elements)
     # b -> h b; the degree is at least 2 (H < G), so each getter returns a tuple.
     left = [itemgetter(*h) for h in h_elements]
     right = [s.images for s in H.generators]
-    by_key: dict[tuple, list[PermGroup]] = {}
-    for g in g_elements:
+    for g in candidates:
         if g in seen:
             continue
         for gk in _cyclic_generators(g):
             if gk not in seen:  # seen is a union of double cosets
                 _mark_double_coset(gk, left, right, seen)
-        K = extended_group(H, [g], group_order)
-        same_key = by_key.setdefault(_subgroup_key(K), [])
-        if find_same_subgroup(K, same_key) is None:
-            same_key.append(K)
-    return [(key, K) for key, same_key in by_key.items() for K in same_key]
+        yield g
 
 
 def _mark_double_coset(a: tuple[int, ...], left, right, seen: set) -> None:

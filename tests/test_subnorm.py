@@ -11,7 +11,6 @@ and the Wielandt check takes O_p from the engine's Sylow data, which is
 independent of the closure series."""
 
 import gc
-from itertools import groupby
 from math import factorial, gcd
 
 import pytest
@@ -688,13 +687,14 @@ def frozenset_chain_length(G, N):
     return longest(N, key_of(N))
 
 
-def double_coset_cover_count(G, H):
-    """The number of overgroups chain_length builds while scanning H < G,
-    by plain sets: G's elements are walked in sorted order, and each g not
-    yet covered counts once and covers h g^k h' for all h, h' in H and k
-    prime to o(g).  The relation g ~ h g^k h' is not transitive (h g^k h'
-    need not have g among its own covered elements), so this is a greedy
-    cover in the scan's order, not a count of the classes of its closure."""
+def double_coset_cover_count(G, H, candidates):
+    """The number of overgroups chain_length builds while marking the
+    double cosets of H < G, by plain sets: the candidates (image tuples)
+    are walked in the given order, and each one not yet covered counts once
+    and covers h g^k h' for all h, h' in H and k prime to o(g).  The
+    relation g ~ h g^k h' is not transitive (h g^k h' need not have g among
+    its own covered elements), so this is a greedy cover in the scan's
+    order, not a count of the classes of its closure."""
 
     def compose(p, q):
         return tuple(q[i] for i in p)
@@ -702,7 +702,7 @@ def double_coset_cover_count(G, H):
     h_set = set_closure([s.images for s in H.generators], G.degree)
     covered = set(h_set)
     count = 0
-    for g in sorted(x.images for x in G.elements()):
+    for g in candidates:
         if g in covered:
             continue
         count += 1
@@ -777,49 +777,84 @@ class TestChainLength:
                 assert chain_length(G, N) == frozenset_chain_length(G, N), (source, p, N)
 
     @staticmethod
-    def counted_builds(monkeypatch):
-        """The base group of every overgroup build, in call order."""
-        builds = []
+    def recorded_scans(monkeypatch):
+        """One (H, mark, candidates, built) per overgroup scan of a subgroup
+        H, in call order: whether H's double cosets are marked, the
+        candidates as a list, and the element of each build from H."""
+        scans = []
+        scan = subnorm._overgroups
 
-        def counting(base, extra, stop_at=None):
-            builds.append(base)
+        def recording_scan(H, candidates, group_order, mark):
+            candidates = list(candidates)
+            scans.append((H, mark, candidates, []))
+            return scan(H, candidates, group_order, mark)
+
+        def recording_build(base, extra, stop_at=None):
+            H, _, _, built = scans[-1]
+            assert base is H
+            built.extend(extra)
             return permgroup.extended_group(base, extra, stop_at)
 
-        monkeypatch.setattr(subnorm, "extended_group", counting)
-        return builds
+        monkeypatch.setattr(subnorm, "_overgroups", recording_scan)
+        monkeypatch.setattr(subnorm, "extended_group", recording_build)
+        return scans
 
     def test_power_cosets_are_not_scanned(self, monkeypatch):
         # <H, h g^k h'> = <H, g> for h, h' in H and k prime to the order of
         # g, so one build covers every such double coset H g^k H.  For S7
-        # at p = 2, seven subgroups are scanned: N_G(P) of order 16 with 24
-        # builds, then overgroups of orders 240, 48, 720, 144, 48 and 48
-        # with 2, 9, 1, 3, 7 and 6, so 24 + 2 + 9 + 1 + 3 + 7 + 6 = 52
-        # builds; each count is the plain-set cover that the next test
-        # checks.  One build per right coset Hg made 686, and one per
-        # family of right cosets H g^k 503.
-        builds = self.counted_builds(monkeypatch)
+        # at p = 2, N_G(P) of order 16 is scanned over all of S7 with 20
+        # builds (in the chain's walk order) and has 7 families; below it
+        # the overgroups of orders 48, 720, 144, 240, 48 and 48 take their
+        # parent's families as candidates, with 5, 3, 3, 3, 4 and 3 builds
+        # (the three of order 48 mark their double cosets, 48^2 < 5040;
+        # the others sift), so 20 + 5 + 3 + 3 + 3 + 4 + 3 = 41 builds.  Each
+        # count is the one the next test checks.  Scanning every subgroup
+        # over all of S7 in sorted order made 52, one build per family of
+        # right cosets H g^k 503, and one per right coset Hg 686.
+        scans = self.recorded_scans(monkeypatch)
         G = named_group("S:7")
         assert chain_length(G, sylow_data(G, 2).normalizer) == 3
-        assert [(H.order, len(list(run))) for H, run in groupby(builds)] == [
-            (16, 24), (240, 2), (48, 9), (720, 1), (144, 3), (48, 7), (48, 6)
+        assert [(H.order, mark, len(built)) for H, mark, _, built in scans] == [
+            (16, True, 20), (48, True, 5), (720, False, 3), (144, False, 3),
+            (240, False, 3), (48, True, 4), (48, True, 3),
         ]
-        assert len(builds) == 52
+        assert sum(len(built) for *_, built in scans) == 41
 
     @pytest.mark.parametrize("source", ["S:5", "A:6", "wr:S:3~C:2"])
     def test_builds_match_the_double_coset_cover(self, monkeypatch, source):
         # S5 from the trivial group (155 subgroups scanned), the others from
-        # each Sylow normalizer.  The builds for one H are consecutive: the
-        # scan of H ends before the recursion goes deeper.
-        builds = self.counted_builds(monkeypatch)
+        # each Sylow normalizer.  The root N of each call is scanned over
+        # G in the chain's walk order and marks its double cosets; each
+        # deeper K takes one candidate per family of the subgroup it was
+        # reached from, builds at most once per candidate outside K, and
+        # marks exactly when |K|^2 < |G|.
+        scans = self.recorded_scans(monkeypatch)
         G = named_group(source)
         if source == "S:5":
-            assert chain_length(G, PermGroup([], 5)) == 5
+            starts = [PermGroup([], 5)]
         else:
-            for p in prime_factors(G.order):
-                chain_length(G, sylow_data(G, p).normalizer)
-        assert builds
-        for H, run in groupby(builds):
-            assert len(list(run)) == double_coset_cover_count(G, H), (source, H)
+            starts = [sylow_data(G, p).normalizer for p in prime_factors(G.order)]
+        roots = []
+        for N in starts:
+            roots.append(len(scans))
+            chain_length(G, N)
+        walk = list(G.chain.iter_elements())
+        assert scans
+        for i, (H, mark, candidates, built) in enumerate(scans):
+            if i in roots:
+                assert mark and candidates == walk, (source, H)
+            else:
+                assert mark == (H.order ** 2 < G.order), (source, H)
+                inside = set_closure([s.images for s in H.generators], G.degree)
+                outside = [g for g in candidates if g not in inside]
+                assert len(set(built)) == len(built) and set(built) <= set(outside)
+                if not mark:
+                    assert built == outside, (source, H)
+            if mark:
+                assert len(built) == double_coset_cover_count(G, H, candidates), (source, H)
+        if source == "S:5":
+            # 1,285 with every subgroup scanned over all of S5 in sorted order.
+            assert sum(len(built) for *_, built in scans) == 1258
 
     def test_subgroup_key_against_element_sets(self):
         # Order and each point's least orbit-mate, read off the element set,
@@ -832,9 +867,10 @@ class TestChainLength:
                 assert subnorm._subgroup_key(K) == (len(s), label), sorted(s)
 
     def test_memo_scans_only_subgroups_with_the_same_key(self, monkeypatch):
-        # S5 from the trivial group: 2,077 lookups, 977 of them hits.  Keyed
-        # by order alone they made 7,546 containment tests; keyed by order
-        # and orbits, 1,612.
+        # S5 from the trivial group: 2,050 lookups and 1,577 containment
+        # tests.  With every subgroup scanned over all of S5 in sorted order
+        # there were 2,077 lookups, 977 of them hits; keyed by order alone
+        # they made 7,546 containment tests, and by order and orbits 1,612.
         tests = []
         original = subnorm.find_same_subgroup
 
@@ -846,7 +882,7 @@ class TestChainLength:
 
         monkeypatch.setattr(subnorm, "find_same_subgroup", counting)
         assert chain_length(named_group("S:5"), PermGroup([], 5)) == 5
-        assert (len(tests), sum(tests)) == (2077, 1612)
+        assert (len(tests), sum(tests)) == (2050, 1577)
 
     @pytest.mark.parametrize("source", ["S:7", "A:7"])
     def test_sylow2_normalizer_against_element_set_keys(self, source):
@@ -891,36 +927,44 @@ class TestChainLength:
             chain_length(G, named_group("S:8"))
         assert G._chain is None
 
-    def test_refusal_leaves_no_sorted_walk(self):
-        # The bound is checked before G is walked, even when G's chain is
-        # already built: a refused G keeps no list of its elements.
-        G = named_group("S:8")
-        assert G.order == 40320
-        with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
-            chain_length(G, sylow_data(G, 7).normalizer)
-        assert "sorted_elements" not in G._cache
-
-    def test_sorted_walk_once_per_group(self, monkeypatch):
-        # The first call walks and sorts S7 once; the next, from another
-        # N, scans the cached list without walking G again and still makes
-        # the 52 builds pinned above.
-        G = named_group("S:7")
-        normalizers = {p: sylow_data(G, p).normalizer for p in (3, 2)}
+    @staticmethod
+    def counted_walks(monkeypatch):
+        """The chain of every element walk, in call order."""
         walks = []
         walk = _Chain.iter_elements
 
         def counting(chain):
-            walks.append(chain is G.chain)
+            walks.append(chain)
             return walk(chain)
 
         monkeypatch.setattr(_Chain, "iter_elements", counting)
-        chain_length(G, normalizers[3])
-        assert walks.count(True) == 1
-        walks.clear()
-        builds = self.counted_builds(monkeypatch)
-        assert chain_length(G, normalizers[2]) == 3
-        assert walks and True not in walks
-        assert len(builds) == 52
+        return walks
+
+    def test_refusal_walks_nothing(self, monkeypatch):
+        # The bound is checked before any group is walked, even when G's
+        # chain is already built, and a refusal leaves G's cache as it was.
+        G = named_group("S:8")
+        N = sylow_data(G, 7).normalizer
+        assert G.order == 40320
+        cached = dict(G._cache)
+        walks = self.counted_walks(monkeypatch)
+        with pytest.raises(ScaleExceeded, match="chain-length bound 10000"):
+            chain_length(G, N)
+        assert walks == []
+        assert G._cache == cached
+
+    def test_one_walk_of_g_per_call(self, monkeypatch):
+        # Each call walks G's chain once, at its root, and adds nothing to
+        # G's cache; a second call, from another N, walks G once again.
+        G = named_group("S:7")
+        normalizers = {p: sylow_data(G, p).normalizer for p in (3, 2)}
+        cached = dict(G._cache)
+        walks = self.counted_walks(monkeypatch)
+        for p, want in ((3, 2), (2, 3)):
+            walks.clear()
+            assert chain_length(G, normalizers[p]) == want
+            assert sum(chain is G.chain for chain in walks) == 1
+            assert G._cache == cached
 
     def test_scale_bound_before_the_chain(self):
         # S150 is refused from a chain stopped past the bound; its full
