@@ -129,6 +129,8 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                     raise ParseError(f"{where}.primes: {exc}") from exc
                 if not prime:
                     raise ParseError(f"{where}.primes: {p!r} is not a prime")
+                if primes.count(p) > 1:
+                    raise ParseError(f"{where}.primes: duplicate prime {p}")
         gen_text = None
         try:
             if is_named_source(source):

@@ -12,10 +12,11 @@ Performance-sensitive internals (the stabilizer chain, normal closures)
 work on raw image tuples rather than Perm objects.
 
 Every subgroup this module derives (generated subgroups, extensions,
-normal closures, stabilizers, hence centralizers and normalizers) is built
-by inserting candidates into one stabilizer chain, and its generators are
-exactly the candidates that enlarged the chain, in the order they did so.
-So no derived generator list is redundant, and no caller needs to prune one.
+normal closures, stabilizers, hence centralizers and normalizers) is grown
+by ``_Chain.grow``, the one loop that holds two rules: the generators are
+exactly the candidates that enlarged the chain, in the order they did so,
+and a build stops once the chain reaches its ``stop_at`` order.  So no
+derived generator list is redundant, and no caller needs to prune one.
 """
 
 from __future__ import annotations
@@ -304,6 +305,18 @@ class _Chain:
         self._insert(g, 0, stop_at)
         return True
 
+    def grow(self, candidates, stop_at: int | None = None):
+        """Insert the image tuples ``candidates`` in turn with ``stop_at``
+        (see ``insert``) and yield each one that enlarged the chain; return
+        once ``order()`` reaches ``stop_at``, before the next is drawn."""
+        if stop_at is not None and self.order() >= stop_at:
+            return
+        for g in candidates:
+            if self.insert(g, stop_at):
+                yield g
+                if stop_at is not None and self.order() >= stop_at:
+                    return
+
     def _insert(self, g: tuple[int, ...], i: int, stop_at: int | None) -> bool:
         """Returns True if the build stopped at ``stop_at``."""
         if _is_identity(g):
@@ -465,13 +478,10 @@ class PermGroup:
 
 
 def _generated_chain(G: PermGroup, stop_at: int | None = None) -> _Chain:
-    """G's generators inserted in order with ``stop_at`` (see
-    ``_Chain.insert``), until the chain's order reaches it."""
+    """G's generators grown into a chain with ``stop_at`` (see ``_Chain.grow``)."""
     ch = _Chain(G.degree)
-    for g in G.generators:
-        if stop_at is not None and ch.order() >= stop_at:
-            break
-        ch.insert(g.images, stop_at)
+    for _ in ch.grow((g.images for g in G.generators), stop_at):
+        pass
     return ch
 
 
@@ -501,26 +511,19 @@ def find_same_subgroup(K: PermGroup, items, group=lambda item: item):
 def extended_group(base: PermGroup, extra, stop_at: int | None = None) -> PermGroup:
     """The group generated by ``base`` and extra permutations; reuses the
     base group's stabilizer chain.  ``stop_at`` is passed to
-    ``_Chain.insert``: the order of a group known to contain the result."""
-    extra = [g if isinstance(g, Perm) else Perm(g) for g in extra]
+    ``_Chain.grow``: the order of a group known to contain the result."""
     ch = base.chain.copy()
-    added = [g for g in extra if ch.insert(g.images, stop_at)]
-    return PermGroup._from_chain(ch, base.generators + tuple(added))
+    added = ch.grow((g.images if isinstance(g, Perm) else tuple(g) for g in extra), stop_at)
+    return PermGroup._from_chain(ch, base.generators + tuple(map(Perm, added)))
 
 
 def group_generated_by(perms, degree: int, order: int) -> PermGroup:
     """The group of known order ``order`` generated by an iterable of
     Perms, with the ones that enlarge it as its generator list.  The walk
-    ends once the chain reaches ``order`` (see ``_Chain.insert``), where no
+    ends once the chain reaches ``order`` (see ``_Chain.grow``), where no
     later Perm would enlarge it."""
     ch = _Chain(degree)
-    gens = []
-    for g in perms:
-        if ch.insert(g.images, order):
-            gens.append(g)
-            if ch.order() == order:
-                break
-    return PermGroup._from_chain(ch, gens)
+    return PermGroup._from_chain(ch, list(map(Perm, ch.grow((g.images for g in perms), order))))
 
 
 # ----------------------------------------------------------------------
@@ -548,29 +551,31 @@ def _orbit_stabilizer(G: PermGroup, start, action, stab_gens=()) -> tuple[dict, 
     ``action(g)`` returns the map of the generator tuple g.
 
     Returns the transversal (orbit point -> image tuple of an element of G
-    taking ``start`` there, in discovery order) and the stabilizer.  Its
-    chain is grown from ``stab_gens`` and then the Schreier generators in
-    the order found; its generators are those among them that enlarged it.
+    taking ``start`` there, in discovery order) and the stabilizer, grown
+    from ``stab_gens`` and then the Schreier generators in the order found
+    to its known order |G| / |orbit| (see ``_Chain.grow``).  Each
+    ``stab_gens`` element must fix ``start``.
     """
     gens = [g.images for g in G.generators]
     maps = [action(g) for g in gens]
     transversal = {start: _identity(G.degree)}
     queue = [start]
-    ch = _Chain(G.degree)
-    stab = [g for g in stab_gens if ch.insert(g.images)]
+    edges = []  # (u, g, v): u g and v take start to the same point
     for pt in queue:
         u = transversal[pt]
         for g, f in zip(gens, maps):
             q = f(pt)
-            ug = _mul(u, g)
             v = transversal.get(q)
             if v is None:
-                transversal[q] = ug
+                transversal[q] = _mul(u, g)
                 queue.append(q)
-            elif v != ug:  # else the Schreier generator is the identity
-                s = _mul(ug, _inv(v))
-                if ch.insert(s):
-                    stab.append(Perm(s))
+            else:
+                edges.append((u, g, v))
+    ch, order = _Chain(G.degree), G.order // len(transversal)
+    stab = list(map(Perm, ch.grow((g.images for g in stab_gens), order)))
+    # Products built only when drawn; u g = v gives the identity.
+    schreier = (_mul(ug, _inv(v)) for u, g, v in edges if (ug := _mul(u, g)) != v)
+    stab += map(Perm, ch.grow(schreier, order))
     S = PermGroup._from_chain(ch, stab)
     if len(transversal) * S.order != G.order:
         raise EngineDefect("orbit-stabilizer identity failed")
@@ -849,9 +854,8 @@ def normal_closure_chain(
     the group generated by ``gen_tuples``.  The generators are the seeds and
     conjugates that enlarged the closure, in the order they did so.
 
-    ``stop_at`` is passed to ``_Chain.insert``, and the build ends as soon
-    as the chain's order reaches it.  Such a chain is partial: it is read
-    only for its order, a lower bound of the closure's."""
+    ``stop_at`` is passed to ``_Chain.grow``.  A chain stopped at it is
+    partial: it is read only for its order, a lower bound of the closure's."""
     ch = _Chain(degree)
     gens: list[tuple[int, ...]] = []
     conjugators = [_conjugator(g) for g in gen_tuples]
@@ -862,11 +866,8 @@ def normal_closure_chain(
             for conj in conjugators:
                 yield conj(s)
 
-    for t in candidates():
-        if ch.insert(t, stop_at):
-            gens.append(t)
-            if stop_at is not None and ch.order() >= stop_at:
-                break
+    for t in ch.grow(candidates(), stop_at):
+        gens.append(t)
     return ch, gens
 
 
@@ -1091,36 +1092,9 @@ def _named_group(kind: str, m: int) -> PermGroup:
 
 
 def _quaternion8() -> PermGroup:
-    # Regular action of Q8 = {1, i, -1, -i, j, k, -j, -k} on itself.
-    names = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    rules = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
-    def neg(x):
-        return x[1:] if x.startswith("-") else "-" + x
-
-    def mul(a, b):
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        if a == "1":
-            r = b
-        elif b == "1":
-            r = a
-        else:
-            r = rules[(a, b)]
-        return neg(r) if sign < 0 else r
-
-    idx = {x: i for i, x in enumerate(names)}
-    gens = []
-    for g in ("i", "j"):
-        gens.append(Perm([idx[mul(x, g)] for x in names]))
-    return PermGroup(gens, 8)
+    # Right regular action of Q8 = {1, i, -1, -i, j, k, -j, -k} on itself
+    # (points 1..8 in that order): right multiplication by i, then by j.
+    return PermGroup([parse_perm("(1,2,3,4)(5,8,7,6)"), parse_perm("(1,5,3,7)(2,6,4,8)")], 8)
 
 
 def _wreath_c2(base: PermGroup) -> PermGroup:

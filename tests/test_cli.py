@@ -295,6 +295,15 @@ class TestCatalog:
         with pytest.raises(ParseError, match="duplicate label"):
             load_catalog(str(cat))
 
+    def test_duplicate_prime_rejected(self, tmp_path):
+        # A repeated prime would run every check at it twice.
+        cat = tmp_path / "bad.json"
+        entries = [{"label": "S4", "source": "S:4", "primes": [2, 3]}]
+        entries.append({"label": "X", "source": "S:4", "primes": [2, 3, 2]})
+        cat.write_text(json.dumps({"format": 1, "entries": entries}))
+        with pytest.raises(ParseError, match=r"entries\[1\]\.primes: duplicate prime 2$"):
+            load_catalog(str(cat))
+
     def test_schema_diagnostics(self, tmp_path):
         cases = [
             ({"format": 2, "entries": []}, "format"),

@@ -27,10 +27,14 @@ from pickylab.permgroup import (
     _Chain,
     _ClassMap,
     _TypeClassMap,
+    _conjugator,
     _cycle_type,
+    _identity,
     _inv,
     _is_identity,
     _mul,
+    _orbit_stabilizer,
+    _set_conjugator,
     _walk_classes,
     centralizer,
     check_order_bound,
@@ -50,7 +54,12 @@ from pickylab.permgroup import (
     sylow_count_containing,
     sylow_data,
 )
-from pickylab.subnorm import chain_length, covering_analysis
+from pickylab.subnorm import (
+    _cyclic_generators,
+    chain_length,
+    covering_analysis,
+    p_element_class_representatives,
+)
 
 
 def brute_closure(gens, degree):
@@ -651,6 +660,78 @@ class TestCentralizerNormalizer:
     def test_normalizer_requires_subgroup(self):
         with pytest.raises(InvalidArgument):
             normalizer(named_group("A:4"), PermGroup([parse_perm("(1,2)", 4)]))
+
+
+def definition_orbit_stabilizer(G, start, action, stab_gens=()):
+    """The breadth-first orbit walk with every Schreier generator inserted
+    as it is found, with no stop: the oracle for ``_orbit_stabilizer``,
+    which walks first and stops at the known stabilizer order."""
+    gens = [g.images for g in G.generators]
+    maps = [action(g) for g in gens]
+    transversal = {start: _identity(G.degree)}
+    queue = [start]
+    ch = _Chain(G.degree)
+    stab = [g for g in stab_gens if ch.insert(g.images)]
+    for pt in queue:
+        u = transversal[pt]
+        for g, f in zip(gens, maps):
+            q = f(pt)
+            ug = _mul(u, g)
+            v = transversal.get(q)
+            if v is None:
+                transversal[q] = ug
+                queue.append(q)
+            elif v != ug:
+                s = _mul(ug, _inv(v))
+                if ch.insert(s):
+                    stab.append(Perm(s))
+    return transversal, PermGroup._from_chain(ch, stab)
+
+
+def chain_levels(G):
+    """Each level's base, generators and orbit items in orbit order."""
+    return [(lvl.base, lvl.gens, list(lvl.orbit.items())) for lvl in G.chain.levels]
+
+
+class TestOrbitStabilizer:
+    """The stabilizer grown to its known order |G| / |orbit| is the one
+    the full walk builds: same transversal in the same order, same
+    generators, same chain level by level."""
+
+    @staticmethod
+    def matches_definition(G, start, action, stab_gens=()):
+        want_transversal, want = definition_orbit_stabilizer(G, start, action, stab_gens)
+        transversal, S = _orbit_stabilizer(G, start, action, stab_gens)
+        assert list(transversal.items()) == list(want_transversal.items())
+        assert S.generators == want.generators
+        assert chain_levels(S) == chain_levels(want)
+        return transversal, S
+
+    def assert_sylow_matches(self, G, p):
+        data = sylow_data(G, p)
+        P = data.subgroup
+        if P.is_trivial():
+            return
+        start = P.element_fingerprint()
+        transversal, N = self.matches_definition(G, start, _set_conjugator, P.generators)
+        assert [g.images for g in data.transversal] == list(transversal.values())
+        assert data.normalizer.generators == N.generators
+        assert chain_levels(data.normalizer) == chain_levels(N)
+
+    def test_full_catalog(self, full_catalog_groups):
+        assert len(full_catalog_groups) == 24
+        for G, primes in full_catalog_groups.values():
+            for c in conjugacy_classes(G):  # centralizers
+                self.matches_definition(G, c.representative.images, _conjugator)
+            for p in primes:
+                self.assert_sylow_matches(G, p)
+                for x in p_element_class_representatives(G, p):  # N_G(<x>)
+                    start = frozenset(_cyclic_generators(x.images))
+                    self.matches_definition(G, start, _set_conjugator, [x])
+
+    @pytest.mark.parametrize("name", ["S:8", "A:8"])
+    def test_sylow_2_of_degree_8(self, name):
+        self.assert_sylow_matches(named_group(name), 2)
 
 
 class TestSylow:

@@ -39,6 +39,41 @@ def test_no_program_path_lists_the_sorted_elements():
     assert found == [], f"calls of .elements() in src/: {found}"
 
 
+def _calls_by_enclosing_function(attr: str) -> Counter:
+    """module.qualname of the function around each call of ``.<attr>(``
+    under src/, counted."""
+    found: Counter = Counter()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == attr:
+                found[scope] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_chains_grow_in_one_loop():
+    """Every derived subgroup is grown by ``_Chain.grow``, which holds the
+    rules that its generators are the candidates that enlarged the chain
+    and that a build stops at its order.  Besides ``grow`` only the
+    subnormalizer scan inserts into a chain, one member per orbit with
+    ``stop_at = |G|``, and reads only the chain's order.  A hand-written
+    growth loop anywhere else fails here."""
+    assert _calls_by_enclosing_function("insert") == Counter(
+        {"permgroup._Chain.grow": 1, "subnorm._scan_subnormalizer": 1}
+    )
+    assert set(_calls_by_enclosing_function("_insert")) == {
+        "permgroup._Chain.insert",
+        "permgroup._Chain._insert",
+    }
+
+
 ROOT = SRC.parents[1]
 
 
