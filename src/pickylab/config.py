@@ -11,9 +11,10 @@ for subnormalizer sweeps).
 # object keeps them.  Conjugacy classes hold one conjugation orbit at a
 # time, plus the members of cycle types that split into several classes;
 # Sym(n) and Alt(n) walk none, their classes come from the partitions of
-# n.  Held whole, for one call: a subgroup's element set (normalizers,
-# Sylow orbits, TI and covering scans) and chain_length's marked double
-# cosets of N, which grow to all of G as its one walk of G goes on.
+# n.  Held whole, for one call: a subgroup's element set (TI and covering
+# scans), its conjugation key for each subgroup in a normalizer's or
+# Sylow orbit, and chain_length's marked double cosets of N, which grow to
+# all of G as its one walk of G goes on.
 ENUM_BOUND = 100_000
 # Largest |G| for which a generic character table is computed; bigger
 # symmetric/wreath groups should go through the fast symmetric-group
@@ -25,6 +26,7 @@ SUBNORMALIZER_BOUND = 10_000
 # Largest |G| for which subgroup chain lengths are computed.
 CHAIN_LENGTH_BOUND = 10_000
 # Largest |G| for which Sylow data is computed: 10!, so S10 is accepted
-# (S10 at p = 2 takes ~23 s on a 2-vCPU x86-64 host; S11 at p = 2 did not
-# finish in 90 s).
+# (`pickylab sylow S:10 -p 2` takes ~7 s and peaks at ~175 MB on a 2-vCPU
+# x86-64 host; S11 at p = 2 did not finish in 90 s when each Sylow
+# subgroup was keyed by all of its elements, and was not run since).
 SYLOW_BOUND = 3_628_800

@@ -22,6 +22,7 @@ derived generator list is redundant, and no caller needs to prune one.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, lcm
@@ -343,6 +344,7 @@ class _Chain:
 
     def _rebuild_orbit(self, lvl: _Level):
         ident = _identity(self.degree)
+        old = lvl.orbit
         lvl.orbit = {lvl.base: (ident, ident)}
         queue = [lvl.base]
         qi = 0
@@ -354,7 +356,9 @@ class _Chain:
                 target = h[pt]
                 if target not in lvl.orbit:
                     v = _mul(u, h)
-                    lvl.orbit[target] = (v, _inv(v))
+                    # An unchanged transversal element keeps its inverse.
+                    entry = old.get(target)
+                    lvl.orbit[target] = entry if entry is not None and entry[0] == v else (v, _inv(v))
                     queue.append(target)
 
     def iter_elements(self):
@@ -461,10 +465,30 @@ class PermGroup:
     def conjugate_subgroup(self, g: Perm) -> "PermGroup":
         return PermGroup([h.conj(g) for h in self.generators], self.degree)
 
-    def element_fingerprint(self) -> frozenset:
-        """Canonical identity of the subgroup: the frozen set of image tuples."""
+    def conjugation_key(self) -> frozenset:
+        """The subgroup's key under conjugation: the image tuples of its
+        nonidentity elements whose cycle types fall in the shortest run of
+        its cycle-type classes, ordered by (size, cycle type), that
+        generates it (one chain grown to its order decides where the run
+        ends).  Conjugation keeps cycle types, so the key of H^g is the key
+        of H conjugated by g; and the key generates H, so distinct
+        subgroups have distinct keys.  An orbit of subgroups keyed this way
+        has the transversal and stabilizer of one keyed by element sets."""
         check_order_bound(self, ENUM_BOUND, "enumeration")
-        return frozenset(self.chain.iter_elements())
+        ident = _identity(self.degree)
+        by_type: dict[tuple[int, ...], list] = {}
+        for t in self.chain.iter_elements():
+            if t != ident:
+                by_type.setdefault(_cycle_type(t), []).append(t)
+        ch, order = _Chain(self.degree), self.order
+        key: list[tuple[int, ...]] = []
+        for _, members in sorted(by_type.items(), key=lambda item: (len(item[1]), item[0])):
+            if ch.order() >= order:
+                break
+            key += members
+            for _ in ch.grow(members, order):
+                pass
+        return frozenset(key)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -838,13 +862,13 @@ def centralizer(G: PermGroup, x: Perm) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) via the conjugation orbit of H (as an element set) with
-    Schreier generators for the stabilizer."""
+    """N_G(H) via the conjugation orbit of H, keyed by
+    ``H.conjugation_key()``, with Schreier generators for the stabilizer."""
     if not H.is_subgroup_of(G):
         raise InvalidArgument("H is not a subgroup of G")
     if H.is_trivial() or H.same_group(G):
         return G
-    return _orbit_stabilizer(G, H.element_fingerprint(), _set_conjugator, H.generators)[1]
+    return _orbit_stabilizer(G, H.conjugation_key(), _set_conjugator, H.generators)[1]
 
 
 def normal_closure_chain(
@@ -970,8 +994,7 @@ def sylow_data(G: PermGroup, p: int) -> SylowData:
         N = PermGroup._from_chain(G.chain, G.generators)
         data = SylowData(p, Q, (Perm.identity(G.degree),), N)
     else:
-        start = Q.element_fingerprint()
-        transversal, N = _orbit_stabilizer(G, start, _set_conjugator, Q.generators)
+        transversal, N = _orbit_stabilizer(G, Q.conjugation_key(), _set_conjugator, Q.generators)
         data = SylowData(p, Q, tuple(Perm(t) for t in transversal.values()), N)
     if data.count % p != 1:
         raise EngineDefect("Sylow count is not 1 mod p")
@@ -984,26 +1007,53 @@ def is_p_element(x: Perm, p: int) -> bool:
     return p_part(m, p) == m
 
 
+def _sylow_class_counts(G: PermGroup, p: int) -> Counter:
+    """Class index -> how many elements of that class of G the Sylow
+    p-subgroup P holds.  G's classes must be computed.  Cached per p."""
+    key = ("sylow_class_counts", p)
+    if key not in G._cache:
+        P = sylow_data(G, p).subgroup
+        check_order_bound(P, ENUM_BOUND, "enumeration")
+        G._cache[key] = Counter(map(G._class_of.__getitem__, P.chain.iter_elements()))
+    return G._cache[key]
+
+
 def _sylow_containment(G: PermGroup, p: int, x: Perm) -> tuple[int, tuple[PermGroup, PermGroup]]:
-    """One scan of the Sylow transversal for the p-element x: the number of
-    g with x in P^g, and P^g for the first such g with its normalizer.
-    Cached per (p, x)."""
+    """The number of Sylow p-subgroups that contain the p-element x, and
+    the first P^g in transversal order that does, with its normalizer.
+    Cached per (p, x).
+
+    The count is n_p |x^G meet P| / |x^G|, counting the pairs (y, Q) with
+    y in x^G and y in a Sylow subgroup Q two ways: each of the n_p
+    conjugates Q of P meets x^G in as many elements as P does, and each y
+    in x^G, a conjugate of x, lies in as many Sylow subgroups as x.  So it
+    reads P's elements by class once per p, and the transversal scan stops
+    at its first hit."""
     if not is_p_element(x, p):
         raise InvalidArgument("element order is not a power of p")
     key = ("sylow_containing", p, x.images)
     if key not in G._cache:
-        data = sylow_data(G, p)  # its bound first: x in G builds G's whole chain
+        # Both bounds before any walk: x in G builds G's whole chain, and
+        # the count reads G's classes, refused above ENUM_BOUND.
+        check_order_bound(G, SYLOW_BOUND, "sylow")
+        classes = conjugacy_classes(G)
         if x not in G:
             raise InvalidArgument("element does not belong to the group")
+        data = sylow_data(G, p)
+        c = G._class_of[x.images]
+        count, rest = divmod(data.count * _sylow_class_counts(G, p)[c], classes[c].size)
+        if rest or not count:
+            raise EngineDefect("n_p |x^G meet P| / |x^G| is not a positive integer")
         P, N = data.subgroup, data.normalizer
-        # x in P^g  iff  x^(g^-1) in P
-        found = [g for g in data.transversal if P.chain.contains(_conjugator(_inv(g.images))(x.images))]
-        if not found:  # pragma: no cover - Sylow covering guarantees a hit
+        # x in P^g  iff  g x g^-1 in P
+        xt = x.images
+        hits = (g for g in data.transversal if P.chain.contains(_mul(_mul(g.images, xt), _inv(g.images))))
+        g = next(hits, None)
+        if g is None:  # pragma: no cover - Sylow covering guarantees a hit
             raise EngineDefect("p-element lies in no Sylow p-subgroup")
-        g = found[0]
         if not g.is_identity():
             P, N = P.conjugate_subgroup(g), N.conjugate_subgroup(g)
-        G._cache[key] = (len(found), (P, N))
+        G._cache[key] = (count, (P, N))
     return G._cache[key]
 
 

@@ -35,9 +35,10 @@ Four maps of G leave the verdict for <x, g> unchanged:
 * t -> t^n for n in N_G(<x>), since <x, t^n> = <x, t>^n and <x>^n = <x>,
   and conjugation by n carries subnormal subgroups to subnormal ones.
 
-So the scan tests one element per orbit under these maps.  Right
-multiplication by x is inversion, left multiplication by x^-1 and inversion
-again, so the orbits are computed without a map of its own for it.
+So the scan tests one element per orbit under these maps.  Inversion
+commutes with conjugation and swaps left and right multiplication by the
+powers of x, so the orbit of t is that of t under the other maps together
+with that of t^-1: one inversion per tested element, not one per member.
 Centralizing or <x>-normalizing elements are accepted without a closure.
 
 The scan walks only the right cosets N u of N = N_G(<x>) that can hold
@@ -182,9 +183,10 @@ def _scan_subnormalizer(G: PermGroup, x: Perm) -> tuple[tuple[Perm, ...], int]:
             passed.update(dict.fromkeys(_orbit(on_conjugates, conjugate), verdict))
     kept = [u for conjugate, u in transversal.items() if passed[conjugate]]
     # Powers of x are left out: left and right multiplication already
-    # cover conjugation by them.  x t is itemgetter(*x)(t) at degree > 1.
-    maps = [_inv] + [_conjugator(n.images) for n in N.generators if n.images not in powers]
-    maps += [itemgetter(*xt)] if len(xt) > 1 else []
+    # cover conjugation by them.  At degree > 1, x t is itemgetter(*x)(t)
+    # and t x is itemgetter(*t)(x).
+    maps = [_conjugator(n.images) for n in N.generators if n.images not in powers]
+    maps += [itemgetter(*xt), lambda t: itemgetter(*t)(xt)] if len(xt) > 1 else []
     members: list[tuple[int, ...]] = []
     sub_chain = N.chain.copy()  # grown to <N, one accepted member per orbit>
     decided: dict[tuple, bool] = {}
@@ -195,6 +197,9 @@ def _scan_subnormalizer(G: PermGroup, x: Perm) -> tuple[tuple[Perm, ...], int]:
             if verdict is None:
                 verdict = _subnormal_in_generated(x, powers, x_order, Perm(gt), G.order)
                 decided.update(dict.fromkeys(_orbit(maps, gt), verdict))
+                inverse = _inv(gt)  # its orbit is the inverses of gt's
+                if inverse not in decided:
+                    decided.update(dict.fromkeys(_orbit(maps, inverse), verdict))
                 if verdict:
                     sub_chain.insert(gt, G.order)
             if verdict:

@@ -118,6 +118,13 @@ class TestStructureCommands:
                 '{"element":"(2,3)(4,5,6,7)","is_picky":true,"normalizer_order":8,"prime":2,'
                 '"subnormalizer_order":8,"sylow_count":1}],"format":1,"prime":2}',
             ),
+            (
+                # Above ENUM_BOUND, so without classes: the Sylow orbit alone.
+                ["sylow", "S:9", "-p", "2"],
+                '{"count":2835,"format":1,"generators":["(5,7)","(3,4,6,8)","(1,2)",'
+                '"(1,5)(2,7)(3,6)(4,8)","(1,5)(2,7)(3,6)","(1,4,2,8)(3,7,6,5)"],'
+                '"normalizer_order":128,"order":128,"prime":2}',
+            ),
         ],
     )
     def test_local_structure_output_is_pinned(self, capsys, argv, want):

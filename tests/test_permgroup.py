@@ -202,10 +202,11 @@ class TestOrderBound:
         S4 at p = 2, it is the walk's own check that fires."""
         G = named_group("S:4")
         P = sylow_data(G, 2).subgroup
-        T = character_table(G)
+        T = character_table(G)  # G's classes: the count's bound is then P's
         walks = [
             (permgroup, P.elements),
-            (permgroup, P.element_fingerprint),
+            (permgroup, P.conjugation_key),
+            (permgroup, partial(sylow_count_containing, G, 2, parse_perm("(1,2)", 4))),
             (permgroup, partial(is_ti_sylow, G, 2)),
             (chartab, partial(irr_nonvanishing_on, T, P)),
             (subnorm, partial(covering_analysis, G, 2)),
@@ -693,10 +694,18 @@ def chain_levels(G):
     return [(lvl.base, lvl.gens, list(lvl.orbit.items())) for lvl in G.chain.levels]
 
 
+def element_fingerprint(H):
+    """The frozen set of H's image tuples: the orbit key of a subgroup
+    under conjugation that ``PermGroup.conjugation_key`` replaces, kept as
+    its oracle."""
+    return frozenset(H.chain.iter_elements())
+
+
 class TestOrbitStabilizer:
     """The stabilizer grown to its known order |G| / |orbit| is the one
     the full walk builds: same transversal in the same order, same
-    generators, same chain level by level."""
+    generators, same chain level by level.  A subgroup orbit keyed by
+    ``conjugation_key`` is the one keyed by whole element sets."""
 
     @staticmethod
     def matches_definition(G, start, action, stab_gens=()):
@@ -707,31 +716,55 @@ class TestOrbitStabilizer:
         assert chain_levels(S) == chain_levels(want)
         return transversal, S
 
-    def assert_sylow_matches(self, G, p):
-        data = sylow_data(G, p)
+    @staticmethod
+    def key_matches_element_sets(G, Q):
+        transversal, S = _orbit_stabilizer(G, Q.conjugation_key(), _set_conjugator, Q.generators)
+        want_transversal, want = _orbit_stabilizer(G, element_fingerprint(Q), _set_conjugator, Q.generators)
+        assert list(transversal.values()) == list(want_transversal.values())
+        assert S.generators == want.generators
+        assert chain_levels(S) == chain_levels(want)
+
+    def assert_sylow_matches(self, G, p, monkeypatch):
+        searched = []  # each Q whose normalizer the Sylow search takes
+        search_normalizer = permgroup.normalizer
+        with monkeypatch.context() as m:
+            m.setattr(permgroup, "normalizer", lambda K, Q: searched.append(Q) or search_normalizer(K, Q))
+            data = sylow_data(PermGroup(G.generators, G.degree), p)  # uncached
         P = data.subgroup
         if P.is_trivial():
             return
-        start = P.element_fingerprint()
-        transversal, N = self.matches_definition(G, start, _set_conjugator, P.generators)
+        for Q in searched + [P]:
+            self.key_matches_element_sets(G, Q)
+        transversal, N = self.matches_definition(G, element_fingerprint(P), _set_conjugator, P.generators)
         assert [g.images for g in data.transversal] == list(transversal.values())
         assert data.normalizer.generators == N.generators
         assert chain_levels(data.normalizer) == chain_levels(N)
 
-    def test_full_catalog(self, full_catalog_groups):
+    def test_full_catalog(self, full_catalog_groups, monkeypatch):
         assert len(full_catalog_groups) == 24
         for G, primes in full_catalog_groups.values():
             for c in conjugacy_classes(G):  # centralizers
                 self.matches_definition(G, c.representative.images, _conjugator)
             for p in primes:
-                self.assert_sylow_matches(G, p)
+                self.assert_sylow_matches(G, p, monkeypatch)
                 for x in p_element_class_representatives(G, p):  # N_G(<x>)
                     start = frozenset(_cyclic_generators(x.images))
                     self.matches_definition(G, start, _set_conjugator, [x])
 
     @pytest.mark.parametrize("name", ["S:8", "A:8"])
-    def test_sylow_2_of_degree_8(self, name):
-        self.assert_sylow_matches(named_group(name), 2)
+    def test_sylow_2_of_degree_8(self, name, monkeypatch):
+        self.assert_sylow_matches(named_group(name), 2, monkeypatch)
+
+
+def scanned_containment(G, p, x):
+    """The scan of the whole Sylow transversal: the number of g with x in
+    P^g, and P^g for the first such g with its normalizer.  The oracle of
+    the count that ``sylow_count_containing`` reads from G's classes."""
+    data = sylow_data(G, p)
+    P, N = data.subgroup, data.normalizer
+    found = [g for g in data.transversal if P.chain.contains(definition_conj(x.images, g.inverse().images))]
+    g = found[0]
+    return len(found), (P.conjugate_subgroup(g), N.conjugate_subgroup(g))
 
 
 class TestSylow:
@@ -792,6 +825,36 @@ class TestSylow:
         assert sylow_count_containing(S4, 2, Perm.identity(4)) == 3
         with pytest.raises(InvalidArgument):
             sylow_count_containing(S4, 2, parse_perm("(1,2,3)", 4))
+
+    def test_counted_containment_matches_the_scan(self, full_catalog_groups):
+        """n_p |x^G meet P| / |x^G| is the number of Sylow subgroups that
+        the scan finds, and the first hit is the same P^g, for every
+        p-element class representative of every full-catalog group, and of
+        S8 and A8 at p = 2."""
+        cases = [(G, p) for G, primes in full_catalog_groups.values() for p in primes]
+        cases += [(named_group("S:8"), 2), (named_group("A:8"), 2)]
+        for G, p in cases:
+            for x in p_element_class_representatives(G, p, include_identity=True):
+                want_count, (want_P, want_N) = scanned_containment(G, p, x)
+                assert sylow_count_containing(G, p, x) == want_count
+                P, N = sylow_containing(G, p, x)
+                assert P.generators == want_P.generators
+                assert N.generators == want_N.generators
+
+    def test_containment_above_the_enumeration_bound_is_refused_unwalked(self, monkeypatch):
+        """The count reads G's classes, so S9 (above ENUM_BOUND, below the
+        Sylow bound) is refused before the Sylow search walks anything."""
+
+        def refused(self):
+            raise AssertionError("an element walk started")
+
+        monkeypatch.setattr(_Chain, "iter_elements", refused)
+        G = named_group("S:9")
+        x = parse_perm("(1,2)", 9)
+        for ask in (sylow_count_containing, sylow_containing):
+            with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
+                ask(G, 2, x)
+        assert ("sylow", 2) not in G._cache
 
     def test_element_outside_group_is_an_argument_error(self):
         # (1,2) is a 2-element of Sym(4) outside A4.

@@ -27,16 +27,19 @@ def test_no_assert_statements_in_src():
 def test_no_program_path_lists_the_sorted_elements():
     """``PermGroup.elements()`` builds a |G|-sized sorted list of Perms; every
     walk in the package streams ``chain.iter_elements()`` instead, so no
-    call of ``.elements(`` appears under src/ (its definition aside)."""
+    call of ``.elements(`` appears under src/ (its definition aside).  Nor
+    does a subgroup orbit key a point by its whole element set: no call of
+    ``.element_fingerprint(`` appears there either (``conjugation_key``
+    keys it)."""
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "elements"
+        and node.func.attr in ("elements", "element_fingerprint")
     ]
-    assert found == [], f"calls of .elements() in src/: {found}"
+    assert found == [], f"calls of .elements() or .element_fingerprint() in src/: {found}"
 
 
 def _calls_by_enclosing_function(attr: str) -> Counter:
