@@ -33,6 +33,7 @@ from .permgroup import (
     PermGroup,
     conjugacy_classes,
     group_from_source,
+    group_generated_by,
     is_named_source,
     named_group,
     parse_generator_text,
@@ -327,7 +328,9 @@ def _cmd_subnormalizer(args) -> tuple[dict, int]:
         "element_order": x.order(),
         "set_size": len(sset),
         "subgroup_order": sub.order,
-        "subgroup_generators": [g.cycle_string() for g in sub.generators],
+        "subgroup_generators": [
+            g.cycle_string() for g in group_generated_by(sset, G.degree, sub.order).generators
+        ],
     }
     p = prime_of_power(x.order())
     if p is not None:

@@ -570,21 +570,18 @@ def _orbit(maps, start) -> list:
     return orbit
 
 
-def _orbit_stabilizer(G: PermGroup, start, action, stab_gens=()) -> tuple[dict, PermGroup]:
-    """Breadth-first orbit of ``start`` under G with its stabilizer;
-    ``action(g)`` returns the map of the generator tuple g.
+def _schreier_orbit(gens, maps, start, identity: tuple[int, ...]) -> tuple[dict, list]:
+    """Breadth-first orbit of ``start`` under the group generated by the
+    image tuples ``gens``, each acting through its map in ``maps``.
 
-    Returns the transversal (orbit point -> image tuple of an element of G
-    taking ``start`` there, in discovery order) and the stabilizer, grown
-    from ``stab_gens`` and then the Schreier generators in the order found
-    to its known order |G| / |orbit| (see ``_Chain.grow``).  Each
-    ``stab_gens`` element must fix ``start``.
+    Returns the transversal (orbit point -> product of ``gens`` taking
+    ``start`` there, in discovery order) and the non-tree edges (u, g, v):
+    u g and v take ``start`` to the same point, so u g v^-1 fixes it, and
+    these elements generate its stabilizer (Schreier's lemma).
     """
-    gens = [g.images for g in G.generators]
-    maps = [action(g) for g in gens]
-    transversal = {start: _identity(G.degree)}
+    transversal = {start: identity}
     queue = [start]
-    edges = []  # (u, g, v): u g and v take start to the same point
+    edges = []
     for pt in queue:
         u = transversal[pt]
         for g, f in zip(gens, maps):
@@ -595,6 +592,20 @@ def _orbit_stabilizer(G: PermGroup, start, action, stab_gens=()) -> tuple[dict, 
                 queue.append(q)
             else:
                 edges.append((u, g, v))
+    return transversal, edges
+
+
+def _orbit_stabilizer(G: PermGroup, start, action, stab_gens=()) -> tuple[dict, PermGroup]:
+    """Breadth-first orbit of ``start`` under G with its stabilizer;
+    ``action(g)`` returns the map of the generator tuple g.
+
+    Returns the transversal of ``_schreier_orbit`` and the stabilizer,
+    grown from ``stab_gens`` and then the Schreier generators in the order
+    found to its known order |G| / |orbit| (see ``_Chain.grow``).  Each
+    ``stab_gens`` element must fix ``start``.
+    """
+    gens = [g.images for g in G.generators]
+    transversal, edges = _schreier_orbit(gens, [action(g) for g in gens], start, _identity(G.degree))
     ch, order = _Chain(G.degree), G.order // len(transversal)
     stab = list(map(Perm, ch.grow((g.images for g in stab_gens), order)))
     # Products built only when drawn; u g = v gives the identity.

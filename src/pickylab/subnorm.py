@@ -28,38 +28,56 @@ So one closure per prime decides, each built only until its order passes
 [x_q, g] = x_q^-1 x_q^g lies in the normal closure of <x_q> in <x, g>, so a
 g with [x_q, g] not a q-element is rejected without one.
 
-Four maps of G leave the verdict for <x, g> unchanged:
+Three kinds of maps of G leave the verdict for <x, g> unchanged:
 
 * t -> x t and t -> t x, since <x, x^a t x^b> = <x, t>;
 * t -> t^-1, since <x, t^-1> = <x, t>;
-* t -> t^n for n in N_G(<x>), since <x, t^n> = <x, t>^n and <x>^n = <x>,
-  and conjugation by n carries subnormal subgroups to subnormal ones.
+* t -> t^n for n in N = N_G(<x>), since <x, t^n> = <x, t>^n and
+  <x>^n = <x>, and conjugation by n carries subnormal subgroups to
+  subnormal ones.
 
-So the scan tests one element per orbit under these maps.  Inversion
-commutes with conjugation and swaps left and right multiplication by the
-powers of x, so the orbit of t is that of t under the other maps together
-with that of t^-1: one inversion per tested element, not one per member.
-Centralizing or <x>-normalizing elements are accepted without a closure.
+So S = S_G(<x>) is kept by each: S^n = S, x S = S, S^-1 = S.  The scan
+runs over the double cosets D = N u N and fills each from one right coset
+(double cosets and Schreier transversals as in Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 4):
 
-The scan walks only the right cosets N u of N = N_G(<x>) that can hold
-members.  If <x> is subnormal in <x, g>, so is <x_q>, since subnormality
-passes to intermediate subgroups; then x_q lies in the normal subgroup
+* The right cosets in D are the N u n, and (N u)^n = n^-1 N u n = N u n,
+  so S meets N u n in (S ∩ N u)^n: one conjugation per member, no test.
+* N u is kept as a set by t -> x t, as x lies in N, and by t -> t^m for m
+  in N ∩ N^u, as m^-1 n u m = m^-1 n (u m u^-1) u with u m u^-1 in N.  So
+  the scan tests one element of N u per orbit of these maps.  (t -> t x
+  leaves N u unless x lies in N^u.)
+* D^-1 = N u^-1 N, and S ∩ D^-1 = (S ∩ D)^-1: the inverse double coset
+  takes no filter and no walk.  Only S ∩ N u is inverted; D^-1 meets
+  n^-1 u^-1 N in the conjugates of those inverses by n.
+
+N and a right transversal come from one orbit of <x> under conjugation,
+<x> keyed by its generators x^k with k prime to o(x).  N permutes the
+conjugates <x>^u by conjugation as it permutes the cosets N u by right
+multiplication, so the double cosets are the N-orbits on the transversal.
+One walk of N's generators over the N-orbit of <x>^u maps each
+<x>^(u n) to its n, the coset N u n, and its non-tree edges generate the
+stabilizer N ∩ N^u (Schreier's lemma).  Centralizing or <x>-normalizing
+elements are accepted without a closure.
+
+The scan fills only the double cosets that can hold members.  If <x> is
+subnormal in <x, g>, so is <x_q>, since subnormality passes to
+intermediate subgroups; then x_q lies in the normal subgroup
 O_q(<x, g>), which also holds x_q^g, so <x_q, x_q^g> is a q-group in which
 <x_q> is subnormal.  For n, n' in N, x_q^n generates <x_q>, so
 <x_q, x_q^(n u n')> = <x_q, x_q^(u n')> = <x_q, x_q^u>^n', and conjugation
-by n' fixes <x_q>: the condition is constant on each double coset N u N,
-and one test per prime decides it.  N and the transversal come from one
-orbit of <x> under conjugation, <x> keyed by its generators x^k with k
-prime to o(x).  N permutes the conjugates <x>^u by conjugation as it
-permutes the cosets N u by right multiplication, so the double cosets are
-the N-orbits on the transversal.  The identity has no primes and keeps its
-one coset, G.
+by n' fixes <x_q>: the condition is constant on each double coset N u N.
+It is the same on N u^-1 N, as <x_q, x_q^(u^-1)> = <x_q^u, x_q>^(u^-1),
+so one test per prime decides each pair {D, D^-1}.  The identity has no
+primes and keeps its one double coset, G.
 
 Sub_G(x) = <S_G(<x>)> is generated by N and one accepted member per orbit
-of the scan: N lies in the set, as it normalizes <x>, and the maps carry
-each member within <N, the tested member of its orbit>.  So the scan knows
-the order of Sub_G(x), and the walk over the sorted members that builds it
-ends as soon as its chain reaches that order.
+of the scan: N lies in the set, as it normalizes <x>, each member of N u
+is x^a t^m for its orbit's tested t, and every other member is a
+conjugate by N of one of these or of its inverse.  So Sub_G(x) is the
+scan's own chain, N's grown by the accepted tested members, with N's
+generators and the members that enlarged it as generators; no walk over
+the members builds it.
 """
 
 from __future__ import annotations
@@ -76,18 +94,19 @@ from .permgroup import (
     Perm,
     PermGroup,
     _conjugator,
+    _identity,
     _inv,
     _is_identity,
     _mul,
     _orbit,
     _orbit_stabilizer,
     _p_power_part,
+    _schreier_orbit,
     _set_conjugator,
     check_order_bound,
     conjugacy_classes,
     extended_group,
     find_same_subgroup,
-    group_generated_by,
     is_p_element,
     normal_closure_chain,
     sylow_containing,
@@ -136,17 +155,15 @@ def _subnormal_in_generated(x: Perm, x_tuples, x_order: int, g: Perm, group_orde
 def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:
     """S_G(<x>) = { g : <x> subnormal in <x, g> }, as a sorted list.
 
-    Only the right cosets N u of N = N_G(<x>) with <x_q> subnormal in
-    <x_q, x_q^u> for every prime q of o(x) are scanned: every member's
-    coset passes, and the test is constant on each double coset N u N (see
-    the module docstring).  On those cosets the verdict is constant on each
-    orbit under t -> x t, t -> t x, t -> t^-1 and conjugation by N:
-    <x, x^a t x^b> = <x, t^-1> = <x, t>, and <x, t^n> = <x, t>^n with
-    <x>^n = <x>.  So one test per double coset and prime, tried in
-    ascending order up to the first that fails, and one per orbit meeting
-    the kept cosets suffice; every element is still reported.  The set is
-    computed once per (G, x) and cached on G, with the order of the group
-    it generates; each call returns a new list.
+    The scan runs over the double cosets D = N u N of N = N_G(<x>), one
+    pair {D, D^-1} at a time (see the module docstring).  A pair is kept
+    only if <x_q> is subnormal in <x_q, x_q^u> for every prime q of o(x):
+    one test per prime, tried in ascending order up to the first that
+    fails.  On a kept pair only the right coset N u is walked, with one
+    test per orbit of t -> x t and conjugation by N ∩ N^u; the other
+    cosets of D are its conjugates by N, and D^-1 holds the inverses.
+    Every element is still reported.  The set is computed once per (G, x)
+    and cached on G, with Sub_G(x); each call returns a new list.
     """
     check_order_bound(G, SUBNORMALIZER_BOUND, "subnormalizer")
     if x not in G:
@@ -157,68 +174,83 @@ def subnormalizer_set(G: PermGroup, x: Perm) -> list[Perm]:
     return list(G._cache[key][0])
 
 
-def _scan_subnormalizer(G: PermGroup, x: Perm) -> tuple[tuple[Perm, ...], int]:
-    """The sorted members and the order of the group they generate."""
+def _scan_subnormalizer(G: PermGroup, x: Perm) -> tuple[tuple[Perm, ...], PermGroup]:
+    """The sorted members and Sub_G(x): N's chain grown by one accepted
+    tested member per orbit, with N's generators and the members that
+    enlarged it as generators."""
     xt = x.images
     x_order = x.order()
     powers = frozenset((x**k).images for k in range(x_order))
     # One orbit of <x>, keyed by its generators, under conjugation:
     # N = N_G(<x>) and a right transversal.
-    transversal, N = _orbit_stabilizer(G, frozenset(_cyclic_generators(xt)), _set_conjugator, [x])
+    start = frozenset(_cyclic_generators(xt))
+    transversal, N = _orbit_stabilizer(G, start, _set_conjugator, [x])
     parts = []  # (x_q, the powers of x_q) for each prime q of o(x), ascending
     for q in prime_factors(x_order):
         xq = _p_power_part(x, q, x_order)
         parts.append((xq, frozenset((xq**k).images for k in range(xq.order()))))
-    # The cosets N u with <x_q> subnormal in <x_q, x_q^u> for every q, one
-    # test per N-orbit of the conjugates <x>^u (one per double coset N u N).
-    on_conjugates = [_set_conjugator(n.images) for n in N.generators]
-    passed: dict[frozenset, bool] = {}
-    for conjugate, u in transversal.items():
-        if conjugate not in passed:
-            conj = _conjugator(u)
-            verdict = all(
-                _subnormal_in_generated(xq, q_powers, len(q_powers), Perm(conj(xq.images)), G.order)
-                for xq, q_powers in parts
-            )
-            passed.update(dict.fromkeys(_orbit(on_conjugates, conjugate), verdict))
-    kept = [u for conjugate, u in transversal.items() if passed[conjugate]]
-    # Powers of x are left out: left and right multiplication already
-    # cover conjugation by them.  At degree > 1, x t is itemgetter(*x)(t)
-    # and t x is itemgetter(*t)(x).
-    maps = [_conjugator(n.images) for n in N.generators if n.images not in powers]
-    maps += [itemgetter(*xt), lambda t: itemgetter(*t)(xt)] if len(xt) > 1 else []
+    n_gens = [n.images for n in N.generators]
+    on_conjugates = [_set_conjugator(n) for n in n_gens]
+    # t -> x t is itemgetter(*x)(t) (x is not the identity, so degree > 1).
+    left = [itemgetter(*xt)] if x_order > 1 else []
+    ident = _identity(G.degree)
+    n_elements = list(N.chain.iter_elements())  # the pair of D = N always passes the filter
     members: list[tuple[int, ...]] = []
-    sub_chain = N.chain.copy()  # grown to <N, one accepted member per orbit>
-    decided: dict[tuple, bool] = {}
-    for n in N.chain.iter_elements():  # n u runs over the kept cosets
-        for u in kept:
-            gt = _mul(n, u)
-            verdict = decided.get(gt)
-            if verdict is None:
-                verdict = _subnormal_in_generated(x, powers, x_order, Perm(gt), G.order)
-                decided.update(dict.fromkeys(_orbit(maps, gt), verdict))
-                inverse = _inv(gt)  # its orbit is the inverses of gt's
-                if inverse not in decided:
-                    decided.update(dict.fromkeys(_orbit(maps, inverse), verdict))
-                if verdict:
-                    sub_chain.insert(gt, G.order)
-            if verdict:
-                members.append(gt)
+    sub_chain = N.chain.copy()
+    enlarged: list[tuple[int, ...]] = []
+    done: set[frozenset] = set()  # the conjugates <x>^u whose pair is scanned
+    for conjugate, u in transversal.items():
+        if conjugate in done:
+            continue
+        # The N-orbit of <x>^u: each <x>^(u n) with its n, which takes N u
+        # to N u n, and the edges whose Schreier generators give N ∩ N^u.
+        cosets, edges = _schreier_orbit(n_gens, on_conjugates, conjugate, ident)
+        done.update(cosets)
+        inverse = _set_conjugator(_inv(u))(start)  # <x>^(u^-1), in D^-1's orbit
+        paired = inverse not in cosets  # D^-1 != D
+        if paired:
+            done.update(_orbit(on_conjugates, inverse))
+        conj = _conjugator(u)
+        if not all(
+            _subnormal_in_generated(xq, q_powers, len(q_powers), Perm(conj(xq.images)), G.order)
+            for xq, q_powers in parts
+        ):
+            continue
+        meets = dict.fromkeys(_mul(_mul(a, g), _inv(b)) for a, g, b in edges)
+        coset_maps = left + [_conjugator(m) for m in meets if m != ident]
+        seen: set[tuple[int, ...]] = set()
+        accepted: list[tuple[int, ...]] = []  # S ∩ N u
+        for n in n_elements:
+            t = _mul(n, u)
+            if t in seen:
+                continue
+            orbit = _orbit(coset_maps, t)
+            seen.update(orbit)
+            if _subnormal_in_generated(x, powers, x_order, Perm(t), G.order):
+                accepted += orbit
+                if sub_chain.insert(t, G.order):
+                    enlarged.append(t)
+        # S ∩ N u n = (S ∩ N u)^n, and S ∩ D^-1 = (S ∩ D)^-1.
+        inverses = list(map(_inv, accepted)) if paired else []
+        for n in cosets.values():
+            conj = _conjugator(n)
+            members += map(conj, accepted)
+            members += map(conj, inverses)
     members.sort()
-    return tuple(Perm(t) for t in members), sub_chain.order()
+    sub = PermGroup._from_chain(sub_chain, N.generators + tuple(map(Perm, enlarged)))
+    return tuple(map(Perm, members)), sub
 
 
 def subnormalizer_subgroup(G: PermGroup, x: Perm) -> PermGroup:
-    """Sub_G(x) = <S_G(<x>)>, built to the order the scan found (see the
-    module docstring).  For p-elements the containment N_G(P) <= Sub_G(x)
-    is asserted."""
+    """Sub_G(x) = <S_G(<x>)>, the scan's own chain (see the module
+    docstring).  For p-elements the containment N_G(P) <= Sub_G(x) is
+    asserted."""
     key = ("subnormalizer", x.images)
     if key in G._cache:
         return G._cache[key]
-    members = subnormalizer_set(G, x)
-    # The members are fresh tuples, held by G only until Sub_G(x) is built.
-    _, order = G._cache.pop(("subnormalizer_set", x.images))
-    sub = group_generated_by(members, G.degree, order)
+    subnormalizer_set(G, x)
+    # The members are held by G only until Sub_G(x) is taken.
+    _, sub = G._cache.pop(("subnormalizer_set", x.images))
     p = prime_of_power(x.order())
     if p is not None:
         _, N = sylow_containing(G, p, x)

@@ -135,6 +135,46 @@ class TestStructureCommands:
         assert code == EXIT_OK
         assert out == want + "\n"
 
+    @pytest.mark.parametrize(
+        "group, element, want",
+        [
+            # The identity: its one double coset N_G(<x>) x N_G(<x>) is G.
+            (
+                "S:3", "()",
+                '{"element":"()","element_order":1,"format":1,"set_size":6,'
+                '"subgroup_generators":["(2,3)","(1,2)"],"subgroup_order":6}',
+            ),
+            # Degree 1: the trivial group, with no generators.
+            (
+                "C:1", "()",
+                '{"element":"()","element_order":1,"format":1,"set_size":1,'
+                '"subgroup_generators":[],"subgroup_order":1}',
+            ),
+            (
+                "S:1", "()",
+                '{"element":"()","element_order":1,"format":1,"set_size":1,'
+                '"subgroup_generators":[],"subgroup_order":1}',
+            ),
+            # Elements of two primes: one filter test per prime.
+            (
+                "C:6", "(1,2,3,4,5,6)",
+                '{"element":"(1,2,3,4,5,6)","element_order":6,"format":1,"set_size":6,'
+                '"subgroup_generators":["(1,2,3,4,5,6)"],"subgroup_order":6}',
+            ),
+            (
+                "S:5", "(1,2)(3,4,5)",
+                '{"element":"(1,2)(3,4,5)","element_order":6,"format":1,"set_size":12,'
+                '"subgroup_generators":["(4,5)","(3,4)","(1,2)"],"subgroup_order":12}',
+            ),
+        ],
+    )
+    def test_subnormalizer_edge_cases_are_pinned(self, capsys, group, element, want):
+        # The printed generators are those of the walk over the sorted
+        # members, whatever generators the scan's own Sub_G(x) carries.
+        code, out, _ = invoke(capsys, "subnormalizer", group, "-x", element)
+        assert code == EXIT_OK
+        assert out == want + "\n"
+
     def test_subnormalizer_scans_once(self, capsys, monkeypatch):
         scans = []
         scan = subnorm._scan_subnormalizer

@@ -5,6 +5,7 @@ tracer hooks exists."""
 import ast
 import importlib
 import importlib.util
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -209,6 +210,34 @@ def test_picky_report_scans_through_the_traced_boundary(monkeypatch):
             want.append(x.images)
     assert len(want) > 1
     assert calls == want
+
+
+def test_picky_report_builds_no_group_from_the_members(monkeypatch):
+    """picky_report takes Sub_G(x) from the scan's own chain: no call of
+    ``group_generated_by`` rebuilds it from the members, through any
+    module that imports the name."""
+    import pickylab.cli  # noqa: F401  (imports every module of the package)
+    from pickylab import permgroup, subnorm
+    from pickylab.exactnum import prime_factors
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = permgroup.group_generated_by
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pickylab.") and getattr(module, "group_generated_by", None) is build:
+            monkeypatch.setattr(module, "group_generated_by", counting)
+    G = permgroup.named_group("S:7")
+    reports = [
+        subnorm.picky_report(G, p, x)
+        for p in prime_factors(G.order)
+        for x in subnorm.p_element_class_representatives(G, p)
+    ]
+    assert len(reports) > 1
+    assert calls == []
 
 
 def test_registered_checks_match_the_benchmark():
