@@ -14,11 +14,9 @@ check and engine version.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -138,8 +136,8 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                 named_group(source)
             else:
                 gen_text = reader(source)
-        except ParseError as exc:
-            raise ParseError(f"{where}.source: {exc}") from exc
+        except (ParseError, ScaleExceeded) as exc:
+            raise type(exc)(f"{where}.source: {exc}") from exc
         except OSError as exc:
             raise ParseError(f"{where}.source: cannot read {source!r}: {exc}") from exc
         out.append(CatalogEntry(label=label, source=source, primes=primes, generator_text=gen_text))
@@ -167,6 +165,8 @@ def _cache_dir() -> Path | None:
 
 
 def _cache_key(entry: CatalogEntry, G: PermGroup, p: int, name: str, variant: str) -> str:
+    import hashlib  # loads OpenSSL: only a run that reads or writes the cache pays for it
+
     payload = json.dumps(
         {
             "format": 1,
@@ -239,17 +239,19 @@ def _cache_store(key: str, G: PermGroup, p: int, report: dict):
 
 def _entry_reports(entry: CatalogEntry, timings: bool) -> list[dict]:
     G = entry.build()
+    # Cached reports carry no timings, so --timings neither reads nor writes them.
+    use_cache = not timings and _cache_dir() is not None
     out: list[dict] = []
     for p in entry.effective_primes(G):
-        # Cached reports carry no timings, so --timings neither reads nor writes them.
-        key = _cache_key(entry, G, p, "all", "all")
-        cached = None if timings else _cache_load(key, G, p, entry.label)
-        if cached is not None:
-            out.extend(cached)
-            continue
+        if use_cache:
+            key = _cache_key(entry, G, p, "all", "all")
+            stored = _cache_load(key, G, p, entry.label)
+            if stored is not None:
+                out.extend(stored)
+                continue
         reports = run_all_checks(G, p, group_label=entry.label)
         dicts = [r.to_json_dict(include_timing=timings) for r in reports]
-        if not timings:
+        if use_cache:
             _cache_store(key, G, p, dicts)
         out.extend(dicts)
     return out
@@ -262,6 +264,8 @@ def run_batch(catalog_path: str, jobs: int = 1, timings: bool = False) -> dict:
     if workers <= 1:
         per_entry = [_entry_reports(e, timings) for e in entries]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_entry = list(pool.map(_entry_reports, entries, [timings] * len(entries)))
     reports: list[dict] = []

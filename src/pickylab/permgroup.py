@@ -28,7 +28,7 @@ from functools import cache
 from math import factorial, lcm
 from operator import itemgetter
 
-from .config import ENUM_BOUND, SYLOW_BOUND
+from .config import DEGREE_BOUND, ENUM_BOUND, SYLOW_BOUND
 from .errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from .exactnum import is_prime, p_part
 
@@ -227,6 +227,7 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
     n = degree if degree is not None else maxpt
     if maxpt > n:
         raise ParseError(f"point {maxpt} exceeds degree {n}")
+    check_degree_bound(n)
     return Perm.from_cycles(cycles, max(n, 1))
 
 
@@ -507,6 +508,13 @@ def _generated_chain(G: PermGroup, stop_at: int | None = None) -> _Chain:
     for _ in ch.grow((g.images for g in G.generators), stop_at):
         pass
     return ch
+
+
+def check_degree_bound(n: int) -> None:
+    """Raise ScaleExceeded if n > DEGREE_BOUND: called on the degree of a
+    permutation or group before any tuple of that degree is built."""
+    if n > DEGREE_BOUND:
+        raise ScaleExceeded(f"degree {n} exceeds the degree bound {DEGREE_BOUND}")
 
 
 def check_order_bound(G: PermGroup, bound: int, what: str) -> None:
@@ -1128,10 +1136,18 @@ def _symmetric_gens(n: int) -> list[Perm]:
     return gens
 
 
-def _named_group(kind: str, m: int) -> PermGroup:
-    """``kind:m``: Sym(m), Alt(m) or C_m on m points, D_m of order m, or Q8."""
+def _named_group(kind: str, m: int, copies: int) -> PermGroup:
+    """``kind:m``: Sym(m), Alt(m) or C_m on m points, D_m of order m, or Q8.
+    ``copies`` is the number of copies of its points that the wreath
+    products around it build; their degree is bounded before any point
+    tuple exists."""
     if kind in "SAC" and m < 1:
         raise ParseError(f"{kind}:n needs n >= 1")
+    if kind == "D" and (m < 6 or m % 2):
+        raise ParseError("D:m needs an even order m >= 6")
+    if kind == "Q" and m != 8:
+        raise ParseError("only Q:8 is supported")
+    check_degree_bound(copies * (m // 2 if kind == "D" else m))
     if kind == "S":
         return PermGroup(_symmetric_gens(m), m)
     if kind == "A":
@@ -1139,17 +1155,11 @@ def _named_group(kind: str, m: int) -> PermGroup:
     if kind == "C":  # C:1's one cycle is the identity, which is dropped
         return PermGroup([Perm.from_cycles([list(range(1, m + 1))], m)], m)
     if kind == "D":  # m = group order 2n, acting on n points
-        if m < 6 or m % 2:
-            raise ParseError("D:m needs an even order m >= 6")
         n = m // 2
         rot = Perm.from_cycles([list(range(1, n + 1))], n)
         refl = Perm([n - 1 - i for i in range(n)])
         return PermGroup([rot, refl], n)
-    if kind == "Q":
-        if m != 8:
-            raise ParseError("only Q:8 is supported")
-        return _quaternion8()
-    raise ParseError(f"unknown named group kind {kind!r}")
+    return _quaternion8()
 
 
 def _quaternion8() -> PermGroup:
@@ -1187,13 +1197,16 @@ def is_named_source(source: str) -> bool:
 def named_group(source: str) -> PermGroup:
     """Parse named constructors: S:n, A:n, C:n, D:2n, Q:8, wr:S:n~C:2."""
     source = source.strip()
-    m = _WREATH_RE.match(source)
-    if m:
-        return _wreath_c2(named_group(m.group(1)))
+    layers = 0
+    while m := _WREATH_RE.match(source):
+        source, layers = m.group(1).strip(), layers + 1
     m = _NAMED_RE.match(source)
-    if m:
-        return _named_group(m.group(1), int(m.group(2)))
-    raise ParseError(f"unrecognised group constructor {source!r}")
+    if not m:
+        raise ParseError(f"unrecognised group constructor {source!r}")
+    G = _named_group(m.group(1), int(m.group(2)), 2**layers)
+    for _ in range(layers):
+        G = _wreath_c2(G)
+    return G
 
 
 def parse_generator_text(text: str) -> PermGroup:

@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, JSON output, exit codes, catalogs, caching."""
 
+import concurrent.futures
 import json
 import runpy
 import sys
@@ -18,7 +19,8 @@ from pickylab.cli import (
     run,
     run_batch,
 )
-from pickylab.errors import EngineDefect, ParseError
+from pickylab.config import DEGREE_BOUND
+from pickylab.errors import EngineDefect, ParseError, ScaleExceeded
 
 
 def invoke(capsys, *argv):
@@ -313,6 +315,17 @@ class TestErrors:
         assert code == EXIT_ERROR and out == ""
         assert "sylow bound 3628800" in err
 
+    def test_too_large_degree_refused_before_any_work(self, capsys, tmp_path):
+        n = DEGREE_BOUND + 1
+        gens = tmp_path / "wide.gens"
+        gens.write_text(f"(1,{n})\n")
+        catalog = tmp_path / "wide.json"
+        catalog.write_text(json.dumps({"format": 1, "entries": [{"label": "G", "source": f"S:{n}"}]}))
+        for argv in (["table", f"S:{n}"], ["sylow", str(gens), "-p", "2"], ["batch", str(catalog)]):
+            code, out, err = invoke(capsys, *argv)
+            assert code == EXIT_ERROR and out == "", argv
+            assert f"degree {n} exceeds the degree bound {DEGREE_BOUND}" in err, argv
+
 
 class TestCatalog:
     def test_bundled_catalogs_load(self):
@@ -382,6 +395,11 @@ class TestCatalog:
             cat.write_text(json.dumps({"format": 1, "entries": [{"label": "G", "source": source}]}))
             with pytest.raises(ParseError, match=needle):
                 load_catalog(str(cat))
+        cat.write_text(
+            json.dumps({"format": 1, "entries": [{"label": "G", "source": f"C:{DEGREE_BOUND + 1}"}]})
+        )
+        with pytest.raises(ScaleExceeded, match=r"entries\[0\]\.source: degree \d+ exceeds"):
+            load_catalog(str(cat))
 
     def test_large_prime_is_decided_at_once(self, tmp_path):
         cat = tmp_path / "large.json"
@@ -475,7 +493,9 @@ class TestBatch:
     @pytest.fixture()
     def pools(self, monkeypatch):
         """The max_workers of every pool run_batch starts; the fake pool
-        maps in this process."""
+        maps in this process.  run_batch imports ProcessPoolExecutor from
+        concurrent.futures only when it starts a pool, so the fake replaces
+        it there."""
         started = []
 
         class FakePool:
@@ -491,7 +511,7 @@ class TestBatch:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return started
 
     def test_pool_has_no_more_workers_than_entries(self, capsys, tiny_catalog, pools):
@@ -541,6 +561,22 @@ class TestBatch:
             del r["runtime_ms"]
         assert json.dumps(timed, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
+    def test_no_cache_key_without_a_cache(self, tiny_catalog, tmp_path, monkeypatch):
+        """A key is built only where it is read: with no cache directory
+        and with --timings, run_batch never calls _cache_key."""
+
+        def refused(*args):
+            raise AssertionError("a cache key was built")
+
+        cache = tmp_path / "cache"
+        want = run_batch(tiny_catalog)
+        monkeypatch.setattr(cli, "_cache_key", refused)
+        monkeypatch.delenv("PICKYLAB_CACHE", raising=False)
+        assert run_batch(tiny_catalog) == want
+        monkeypatch.setenv("PICKYLAB_CACHE", str(cache))
+        assert len(run_batch(tiny_catalog, timings=True)["reports"]) == len(want["reports"])
+        assert not cache.exists()
+
     def test_cache_keeps_labels_apart(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PICKYLAB_CACHE", str(tmp_path / "cache"))
         for label in ("First", "Second"):
@@ -576,6 +612,16 @@ class TestCacheEntries:
             assert cli._cache_load("k", G, 2, "S4") is None, field
         entry.write_text(json.dumps(stored))
         assert cli._cache_load("k", G, 2, "S4") == report
+
+    def test_cache_keys_are_pinned(self):
+        """A change to the key's payload or hash turns every stored report
+        into a miss.  These are the keys of engine version 0.1.0."""
+        (entry,) = [e for e in load_catalog("small") if e.label == "S4"]
+        G = entry.build()
+        assert {p: cli._cache_key(entry, G, p, "all", "all") for p in (2, 3)} == {
+            2: "a82c5492405e83c1e40a5296ab82882a94e69a8f94d27d9429885c75d02c8e1c",
+            3: "834e8024984e792e7be3fade2e00f358480b5fadd0755690f1dd7c0399a3fe66",
+        }
 
     def test_failed_write_leaves_nothing_behind(self, cache, monkeypatch):
         from pickylab.permgroup import named_group

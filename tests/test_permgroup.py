@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from pickylab import chartab, permgroup, subnorm
 from pickylab.chartab import _table_from_scratch, character_table, irr_nonvanishing_on
 from pickylab.cli import load_catalog
+from pickylab.config import DEGREE_BOUND
 from pickylab.errors import EngineDefect, InvalidArgument, ParseError, ScaleExceeded
 from pickylab.permgroup import (
     ALTERNATING,
@@ -229,6 +230,43 @@ class TestOrderBound:
         monkeypatch.setattr(_Chain, "iter_elements", refused)
         with pytest.raises(ScaleExceeded, match="enumeration bound 100000"):
             normalizer(named_group("S:9"), named_group("A:9"))
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("n", [DEGREE_BOUND + 1, 2**20], ids=["just-over", "far-over"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: parse_perm(f"(1,{n})"),
+            lambda n: parse_perm("(1,2)", n),
+            lambda n: named_group(f"S:{n}"),
+            lambda n: named_group(f"A:{n}"),
+            lambda n: named_group(f"C:{n}"),
+            lambda n: named_group(f"D:{2 * n}"),
+            lambda n: named_group(f"wr:S:{(n + 1) // 2}~C:2"),
+            lambda n: named_group(f"wr:wr:C:{(n + 3) // 4}~C:2~C:2"),
+            lambda n: parse_generator_text(f"# one wide generator\n(1,2)\n(2,{n})\n"),
+        ],
+        ids=["point", "degree", "S", "A", "C", "D", "wr", "wr-wr", "gens"],
+    )
+    def test_over_the_bound_is_refused_before_any_point_tuple(self, build, n):
+        """Each constructor refuses a degree over the bound before it builds
+        any tuple of that degree: the traced peak stays under 1 MB, where
+        one tuple of degree 2^20 takes 8 MB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleExceeded, match=f"exceeds the degree bound {DEGREE_BOUND}"):
+                build(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_at_the_bound_is_accepted(self):
+        n = DEGREE_BOUND
+        assert parse_perm(f"(1,{n})").degree == n
+        for source in (f"S:{n}", f"A:{n}", f"C:{n}", f"D:{2 * n}", f"wr:S:{n // 2}~C:2"):
+            assert named_group(source).degree == n, source
 
 
 class TestPerm:

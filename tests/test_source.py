@@ -5,7 +5,11 @@ tracer hooks exists."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -256,3 +260,30 @@ def test_registered_checks_match_the_benchmark():
     assert list(conjectures.CHECKS) == list(bench_checks)
     for name, check in conjectures.CHECKS.items():
         assert check is getattr(conjectures, "check_" + name), name
+
+
+def test_cli_loads_neither_openssl_nor_the_process_pool(tmp_path):
+    """In a fresh interpreter with no cache, importing the CLI, a table and
+    a one-job batch load neither hashlib's OpenSSL binding nor the process
+    pool: the cache key and ``--jobs`` > 1 import them where they are used."""
+    catalog = tmp_path / "one.json"
+    catalog.write_text(json.dumps({"format": 1, "entries": [{"label": "S3", "source": "S:3"}]}))
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        from pickylab import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["table", "S:3"])
+        reports = cli.run_batch({str(catalog)!r}, jobs=1)["reports"]
+        heavy = ["_hashlib", "concurrent.futures.process", "multiprocessing"]
+        print(json.dumps([code, len(reports), [m for m in heavy if m in sys.modules]]))
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PICKYLAB_CACHE"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    code, report_count, loaded = json.loads(done.stdout)
+    assert code == 0 and report_count > 0
+    assert loaded == []
